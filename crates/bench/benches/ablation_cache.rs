@@ -1,7 +1,7 @@
-//! Ablation: the cross-request solution cache on an ε-sweep, and portfolio
-//! racing vs the plain MILP path. Beyond wall-clock timing, the bench prints
-//! the cold-LP/pivot/cache counters from `RefinementStats` — the numbers
-//! behind the "a sweep pays for its first point, then coasts" claim.
+//! Ablation: the cross-request solution cache on an ε-sweep. Beyond
+//! wall-clock timing, the bench prints the cold-LP/pivot/cache counters from
+//! `RefinementStats` — the numbers behind the "a sweep pays for its first
+//! point, then coasts" claim.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qr_bench::{benchmark_request, session_for, tiny_workload, TINY_K};
@@ -65,27 +65,6 @@ fn bench(c: &mut Criterion) {
             hits,
         );
     }
-
-    // Portfolio racing vs the plain MILP path on one hard point. The racer
-    // pays thread spawns and redundant work; this measures that overhead
-    // against the single-backend baseline (on bigger instances the fastest
-    // backend wins it back).
-    let request = base.clone();
-    let direct_session = session_for(&w);
-    group.bench_function(format!("{}/point/direct", w.id.label()), |b| {
-        b.iter(|| direct_session.solve(&request).unwrap())
-    });
-    group.bench_function(format!("{}/point/portfolio", w.id.label()), |b| {
-        b.iter(|| direct_session.solve_portfolio(&request).unwrap())
-    });
-    let race = direct_session.solve_portfolio_detailed(&request).unwrap();
-    println!(
-        "{}/point/portfolio: winner {}",
-        w.id.label(),
-        race.winner
-            .map(|b| b.label().to_string())
-            .unwrap_or_else(|| "none".to_string()),
-    );
 
     group.finish();
 }

@@ -7,9 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qr_bench::{benchmark_request, session_for, tiny_constraints, tiny_workload};
-use qr_core::{
-    DistanceMeasure, MilpSolver, NaiveMode, NaiveOptions, NaiveSolver, OptimizationConfig,
-};
+use qr_core::{DistanceMeasure, MilpSolver, NaiveMode, NaiveSolver, OptimizationConfig};
 use qr_datagen::DatasetId;
 use std::time::Duration;
 
@@ -36,13 +34,8 @@ fn bench(c: &mut Criterion) {
             DistanceMeasure::Predicate,
             OptimizationConfig::none(),
         );
-        let naive = NaiveSolver {
-            options: NaiveOptions {
-                mode: NaiveMode::Provenance,
-                time_limit: Some(Duration::from_secs(5)),
-                ..NaiveOptions::default()
-            },
-        };
+        let naive = NaiveSolver::new(NaiveMode::Provenance);
+        let naive_request = opt.clone().with_time_limit(Duration::from_secs(5));
         group.bench_function(format!("{}/MILP+opt/QD", w.id.label()), |b| {
             b.iter(|| session.solve_with(&MilpSolver, &opt).unwrap())
         });
@@ -50,7 +43,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| session.solve_with(&MilpSolver, &unopt).unwrap())
         });
         group.bench_function(format!("{}/Naive+prov/QD", w.id.label()), |b| {
-            b.iter(|| session.solve_with(&naive, &opt).unwrap())
+            b.iter(|| session.solve_with(&naive, &naive_request).unwrap())
         });
     }
     group.finish();

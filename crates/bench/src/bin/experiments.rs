@@ -4,9 +4,12 @@
 //!
 //! ```text
 //! cargo run -p qr-bench --release --bin experiments -- \
-//!     [fig3|fig4|fig5|fig6|fig7|fig8|fig9|erica|all] [--quick] [--distance QD,JAC,KEN]
+//!     [fig3|fig4|fig5|fig6|fig7|fig8|fig9|erica|all]... [--quick] [--distance QD,JAC,KEN]
 //!     [--threads N]
 //! ```
+//!
+//! No figure name runs every figure. An unknown figure name or flag prints
+//! the usage line to stderr and exits with status 2.
 //!
 //! Each figure prints one tab-separated row per measured configuration:
 //! dataset, algorithm, distance measure, swept parameter, setup seconds,
@@ -36,24 +39,100 @@ use qr_core::{
 use qr_datagen::{DatasetId, Workload};
 use std::time::Duration;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let distance_override = parse_distance_override(&args);
-    let threads = parse_threads(&args);
-    // Figure names: positional arguments, minus the values consumed by
-    // space-separated `--distance <labels>` / `--threads <n>`.
-    let mut which: Vec<&str> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if arg == "--distance" || arg == "--threads" {
-            iter.next();
-        } else if !arg.starts_with("--") {
-            which.push(arg.as_str());
+/// One-line usage, printed with every argument error.
+const USAGE: &str = "usage: experiments [fig3|fig4|fig5|fig6|fig7|fig8|fig9|erica|all]... \
+                     [--quick] [--distance QD,JAC,KEN] [--threads N]";
+
+/// Figure names, in the order they run.
+const FIGURES: [&str; 8] = [
+    "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "erica",
+];
+
+/// Parsed command line.
+#[derive(Debug)]
+struct Options {
+    /// Figures to run (no name, or `all`, selects every figure).
+    figures: Vec<&'static str>,
+    /// Small workloads and short sweeps.
+    quick: bool,
+    /// `--distance`: the measured distance measures, overriding the default.
+    distances: Option<Vec<DistanceMeasure>>,
+    /// `--threads`: worker threads for the per-session sweeps (at least 1).
+    threads: usize,
+}
+
+/// Parse the arguments after the program name. Unknown figure names and
+/// flags, missing values and malformed values are errors.
+fn parse_args(args: &[String]) -> Result<Options, String> {
+    let mut options = Options {
+        figures: Vec::new(),
+        quick: false,
+        distances: None,
+        threads: 1,
+    };
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        // `--flag=value` and `--flag value` are equivalent.
+        let (flag, inline) = match arg.split_once('=') {
+            Some((flag, value)) if flag.starts_with("--") => (flag, Some(value)),
+            _ => (arg.as_str(), None),
+        };
+        match flag {
+            "--quick" if inline.is_none() => options.quick = true,
+            "--distance" | "--threads" => {
+                let value = match inline {
+                    Some(value) => value,
+                    None => args
+                        .next()
+                        .ok_or_else(|| format!("{flag} requires a value"))?,
+                };
+                if flag == "--distance" {
+                    let measures = value
+                        .split(',')
+                        .map(|label| label.trim().parse::<DistanceMeasure>())
+                        .collect::<Result<Vec<_>, _>>()
+                        .map_err(|e| format!("--distance: {e}"))?;
+                    options.distances = Some(measures);
+                } else {
+                    let n: usize = value
+                        .parse()
+                        .map_err(|e| format!("--threads: invalid worker count '{value}': {e}"))?;
+                    options.threads = n.max(1);
+                }
+            }
+            "all" => options.figures.extend(FIGURES),
+            _ if flag.starts_with('-') => return Err(format!("unknown flag '{arg}'")),
+            name => match FIGURES.iter().find(|figure| **figure == name) {
+                Some(figure) => options.figures.push(figure),
+                None => return Err(format!("unknown figure '{name}'")),
+            },
         }
     }
-    let run_all = which.is_empty() || which.contains(&"all");
-    let selected = |name: &str| run_all || which.contains(&name);
+    if options.figures.is_empty() {
+        options.figures.extend(FIGURES);
+    }
+    Ok(options)
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Options {
+        figures,
+        quick,
+        distances,
+        threads,
+    } = parse_args(&args).unwrap_or_else(|message| {
+        eprintln!("experiments: {message}\n{USAGE}");
+        std::process::exit(2)
+    });
+    let selected = |name: &str| figures.contains(&name);
+    let distances = distances.unwrap_or_else(|| {
+        if quick {
+            vec![DistanceMeasure::Predicate]
+        } else {
+            DistanceMeasure::all().to_vec()
+        }
+    });
 
     let workloads = if quick {
         bench_workloads()
@@ -73,27 +152,17 @@ fn main() {
     }
     println!("{}", ExperimentRow::header());
 
-    let distances = |quick: bool| -> Vec<DistanceMeasure> {
-        if let Some(ms) = &distance_override {
-            ms.clone()
-        } else if quick {
-            vec![DistanceMeasure::Predicate]
-        } else {
-            DistanceMeasure::all().to_vec()
-        }
-    };
-
     if selected("fig3") {
-        fig3(&workloads, quick, &distances(quick));
+        fig3(&workloads, quick, &distances);
     }
     if selected("fig4") {
-        fig4(&workloads, quick, &distances(quick), threads);
+        fig4(&workloads, quick, &distances, threads);
     }
     if selected("fig5") {
-        fig5(&workloads, quick, &distances(quick), threads);
+        fig5(&workloads, quick, &distances, threads);
     }
     if selected("fig6") {
-        fig6(&workloads, quick, &distances(quick), threads);
+        fig6(&workloads, quick, &distances, threads);
     }
     if selected("fig7") {
         fig7(&workloads);
@@ -107,55 +176,6 @@ fn main() {
     if selected("erica") {
         erica_comparison(quick);
     }
-}
-
-/// Parse `--threads N` (or `--threads=N`); defaults to 1 (sequential).
-fn parse_threads(args: &[String]) -> usize {
-    let mut value: Option<&str> = None;
-    for (i, arg) in args.iter().enumerate() {
-        if let Some(rest) = arg.strip_prefix("--threads=") {
-            value = Some(rest);
-        } else if arg == "--threads" {
-            value = Some(
-                args.get(i + 1)
-                    .unwrap_or_else(|| panic!("--threads requires a worker count"))
-                    .as_str(),
-            );
-        }
-    }
-    value.map_or(1, |v| {
-        let n: usize = v
-            .parse()
-            .unwrap_or_else(|e| panic!("--threads: invalid worker count '{v}': {e}"));
-        n.max(1)
-    })
-}
-
-/// Parse `--distance QD,JAC` (or `--distance=QD,JAC`) into measures, using
-/// [`DistanceMeasure`]'s `FromStr` instead of hand-rolled match arms.
-fn parse_distance_override(args: &[String]) -> Option<Vec<DistanceMeasure>> {
-    let mut labels: Option<&str> = None;
-    for (i, arg) in args.iter().enumerate() {
-        if let Some(rest) = arg.strip_prefix("--distance=") {
-            labels = Some(rest);
-        } else if arg == "--distance" {
-            labels = Some(
-                args.get(i + 1)
-                    .unwrap_or_else(|| panic!("--distance requires a value (QD, JAC or KEN)"))
-                    .as_str(),
-            );
-        }
-    }
-    labels.map(|list| {
-        list.split(',')
-            .map(|label| {
-                label
-                    .trim()
-                    .parse::<DistanceMeasure>()
-                    .unwrap_or_else(|e| panic!("--distance: {e}"))
-            })
-            .collect()
-    })
 }
 
 /// Figure 3: running time of MILP, MILP+opt, Naive and Naive+prov.
@@ -470,5 +490,55 @@ fn erica_comparison(quick: bool) {
             &result,
         );
         println!("{}", row.render());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn no_figure_or_all_selects_every_figure() {
+        let options = parse(&[]).unwrap();
+        assert_eq!(options.figures, FIGURES);
+        assert!(!options.quick);
+        assert_eq!(options.distances, None);
+        assert_eq!(options.threads, 1);
+        assert_eq!(parse(&["all", "--quick"]).unwrap().figures, FIGURES);
+    }
+
+    #[test]
+    fn figures_and_flags_parse_in_both_value_forms() {
+        let options = parse(&["fig5", "erica", "--quick", "--threads", "4"]).unwrap();
+        assert_eq!(options.figures, ["fig5", "erica"]);
+        assert!(options.quick);
+        assert_eq!(options.threads, 4);
+        let options = parse(&["--distance=QD,ken", "fig3", "--threads=0"]).unwrap();
+        assert_eq!(options.figures, ["fig3"]);
+        assert_eq!(
+            options.distances,
+            Some(vec![
+                DistanceMeasure::Predicate,
+                DistanceMeasure::KendallTopK
+            ])
+        );
+        assert_eq!(options.threads, 1, "a zero worker count runs sequentially");
+    }
+
+    #[test]
+    fn unknown_names_flags_and_values_are_rejected() {
+        let err = parse(&["fig10", "--quick"]).unwrap_err();
+        assert!(err.contains("fig10"), "{err}");
+        let err = parse(&["fig3", "--quik"]).unwrap_err();
+        assert!(err.contains("--quik"), "{err}");
+        assert!(parse(&["fig3", "--quick=yes"]).is_err());
+        assert!(parse(&["fig3", "--threads"]).is_err());
+        assert!(parse(&["fig3", "--threads", "many"]).is_err());
+        assert!(parse(&["fig3", "--distance", "QD,cosine"]).is_err());
     }
 }

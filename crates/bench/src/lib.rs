@@ -18,9 +18,8 @@
 #![warn(rust_2018_idioms)]
 
 use qr_core::{
-    ConstraintSet, DistanceMeasure, MilpSolver, NaiveMode, NaiveOptions, NaiveSolver,
-    OptimizationConfig, RefinementOutcome, RefinementRequest, RefinementResult, RefinementSession,
-    RefinementSolver,
+    ConstraintSet, DistanceMeasure, MilpSolver, NaiveMode, NaiveSolver, OptimizationConfig,
+    RefinementOutcome, RefinementRequest, RefinementResult, RefinementSession, RefinementSolver,
 };
 use qr_datagen::Workload;
 use qr_milp::SolverOptions;
@@ -33,12 +32,15 @@ pub const DEFAULT_EPSILON: f64 = 0.5;
 /// Seed used for every synthetic dataset in the harness.
 pub const SEED: u64 = 20240317;
 
-/// Solver options used throughout the benchmark: a per-instance time limit
-/// stands in for the paper's one-hour timeout (scaled down because the
-/// from-scratch solver replaces CPLEX).
+/// Per-instance deadline of every benchmark request: it stands in for the
+/// paper's one-hour timeout (scaled down because the from-scratch solver
+/// replaces CPLEX).
+pub const BENCHMARK_TIME_LIMIT: Duration = Duration::from_secs(60);
+
+/// Solver options used throughout the benchmark: a node budget on top of
+/// the request's [`BENCHMARK_TIME_LIMIT`].
 pub fn benchmark_solver_options() -> SolverOptions {
     SolverOptions {
-        time_limit: Some(Duration::from_secs(60)),
         max_nodes: 20_000,
         ..SolverOptions::default()
     }
@@ -50,7 +52,7 @@ pub fn session_for(workload: &Workload) -> RefinementSession {
         .expect("workload annotation builds")
 }
 
-/// A request with the benchmark solver budget applied.
+/// A request with the benchmark solver budget and deadline applied.
 pub fn benchmark_request(
     constraints: &ConstraintSet,
     epsilon: f64,
@@ -63,6 +65,7 @@ pub fn benchmark_request(
         .with_distance(distance)
         .with_optimizations(config)
         .with_solver_options(benchmark_solver_options())
+        .with_time_limit(BENCHMARK_TIME_LIMIT)
 }
 
 /// A single measurement row, printed by the `experiments` binary.
@@ -183,7 +186,7 @@ pub fn run_engine(
     run_solver(workload, &MilpSolver, &request, parameter)
 }
 
-/// Run one of the exhaustive baselines on a workload.
+/// Run one of the exhaustive baselines on a workload, stopped at `budget`.
 pub fn run_naive(
     workload: &Workload,
     constraints: &ConstraintSet,
@@ -193,14 +196,9 @@ pub fn run_naive(
     budget: Duration,
     parameter: impl Into<String>,
 ) -> ExperimentRow {
-    let solver = NaiveSolver {
-        options: NaiveOptions {
-            mode,
-            time_limit: Some(budget),
-            ..NaiveOptions::default()
-        },
-    };
-    let request = benchmark_request(constraints, epsilon, distance, OptimizationConfig::all());
+    let solver = NaiveSolver::new(mode);
+    let request = benchmark_request(constraints, epsilon, distance, OptimizationConfig::all())
+        .with_time_limit(budget);
     let session = session_for(workload);
     let mut result = session
         .solve_with(&solver, &request)

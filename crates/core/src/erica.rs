@@ -22,10 +22,8 @@ use crate::milp_model::{build_model, BuiltModel};
 use crate::optimize::OptimizationConfig;
 use crate::session::RefinementStats;
 use qr_milp::control::SolveControl;
-use qr_milp::solution::SolveStats;
 use qr_milp::{LinExpr, Sense, SolveStatus, Solver, SolverOptions};
 use qr_provenance::{whatif::evaluate_refinement, AnnotatedRelation, PredicateAssignment};
-use qr_relation::{Database, SpjQuery};
 use std::time::Instant;
 
 /// A whole-output cardinality constraint (Erica's constraint language).
@@ -55,57 +53,14 @@ pub struct EricaResult {
     pub stats: RefinementStats,
 }
 
-/// Refine `query` so that every output constraint holds over an output of
-/// exactly `output_size` tuples, minimising the predicate distance. Uses the
-/// default [`SolverOptions`]; see [`erica_refine_with`] to bound the search.
-pub fn erica_refine(
-    db: &Database,
-    query: &SpjQuery,
-    constraints: &[OutputConstraint],
-    output_size: usize,
-) -> Result<EricaResult> {
-    erica_refine_with(
-        db,
-        query,
-        constraints,
-        output_size,
-        SolverOptions::default(),
-    )
-}
-
-/// [`erica_refine`] with explicit solver options (time/node limits). With a
-/// tight limit the result may be a feasible-but-unproven refinement, or
-/// `None` when no incumbent was found in time.
-///
-/// Annotates from scratch; amortized callers should prepare a
-/// [`RefinementSession`](crate::session::RefinementSession) and go through
-/// [`EricaSolver`](crate::solver::EricaSolver) or
-/// [`erica_refine_prepared`].
-pub fn erica_refine_with(
-    db: &Database,
-    query: &SpjQuery,
-    constraints: &[OutputConstraint],
-    output_size: usize,
-    solver_options: SolverOptions,
-) -> Result<EricaResult> {
-    let start = Instant::now();
-    let annotated = AnnotatedRelation::build(db, query)?;
-    let annotation_time = start.elapsed();
-    let mut result = erica_refine_prepared(
-        &annotated,
-        constraints,
-        output_size,
-        solver_options,
-        &SolveControl::default(),
-    )?;
-    result.stats.charge_annotation(annotation_time);
-    Ok(result)
-}
-
-/// The Erica-style baseline over already-built provenance annotations (the
-/// shared setup of a session). `control` carries the unified deadline and
-/// cancellation shared with the other backends; an interrupted solve reports
+/// Refine the annotated query so that every output constraint holds over an
+/// output of exactly `output_size` tuples, minimising the predicate
+/// distance. Runs over already-built provenance annotations (the shared
+/// setup of a session). `control` carries the deadline and cancellation
+/// shared with the other backends; an interrupted solve reports
 /// `interrupted` (and its best incumbent) instead of running to completion.
+/// Under the node limit of `solver_options` the result may be a
+/// feasible-but-unproven refinement, or `None` when no incumbent was found.
 pub fn erica_refine_prepared(
     annotated: &AnnotatedRelation,
     constraints: &[OutputConstraint],
@@ -197,59 +152,10 @@ pub fn erica_refine_prepared(
         model.add_constraint(format!("erica_group[{idx}]"), expr, sense, c.n as f64);
     }
 
-    let setup_time = start.elapsed();
-    let mut stats = RefinementStats {
-        model_build_time: setup_time,
-        setup_time,
-        num_variables: model.num_variables(),
-        num_integer_variables: model.num_integer_variables(),
-        num_constraints: model.num_constraints(),
-        scope_size: vars.scope.len(),
-        lineage_classes: annotated.classes().len(),
-        ..RefinementStats::default()
-    };
-
+    let mut stats =
+        RefinementStats::for_model(&model, vars.scope.len(), annotated, start.elapsed());
     let solution = Solver::new(solver_options).solve_with_control(&model, control)?;
-    // Exhaustive destructuring — not field-by-field copies — so adding a
-    // field to `SolveStats` without deciding how it reaches
-    // `RefinementStats` is a compile error at this merge site.
-    let SolveStats {
-        nodes,
-        lp_solves,
-        simplex_iterations,
-        warm_lp_solves,
-        cold_lp_solves,
-        refactorizations,
-        eta_updates,
-        lu_nnz,
-        matrix_nnz,
-        solve_time,
-        // The objective bound is already carried by the solution's
-        // objective/status; the Erica baseline never reads it.
-        best_bound: _,
-        interrupted,
-        resumed_solves,
-        nodes_restored,
-        resume_captures,
-        warm_entry_solves,
-    } = solution.stats;
-    stats.solver_time = solve_time;
-    stats.nodes = nodes;
-    stats.lp_solves = lp_solves;
-    stats.simplex_iterations = simplex_iterations;
-    stats.warm_lp_solves = warm_lp_solves;
-    stats.cold_lp_solves = cold_lp_solves;
-    stats.refactorizations = refactorizations;
-    stats.eta_updates = eta_updates;
-    stats.lu_nnz = lu_nnz;
-    stats.matrix_nnz = matrix_nnz;
-    stats.interrupted = interrupted;
-    // Always zero today (the baseline never resumes nor warm-enters), but
-    // routed rather than ignored so the merge stays exhaustive.
-    stats.resumed_solves = resumed_solves;
-    stats.nodes_restored = nodes_restored;
-    stats.resume_captures = resume_captures;
-    stats.cache_warm_starts = warm_entry_solves;
+    stats.record_solve(solution.stats);
     stats.total_time = start.elapsed();
 
     // Any status with an assignment — Optimal, Feasible, or an interrupted
@@ -312,6 +218,25 @@ mod tests {
     use super::*;
     use crate::constraint::Group;
     use crate::paper_example::{paper_database, scholarship_query};
+    use qr_relation::{Database, SpjQuery};
+
+    /// Annotate `query` over `db` and run the baseline with default options
+    /// and no control.
+    fn whole_output_refine(
+        db: &Database,
+        query: &SpjQuery,
+        constraints: &[OutputConstraint],
+        output_size: usize,
+    ) -> Result<EricaResult> {
+        let annotated = AnnotatedRelation::build(db, query)?;
+        erica_refine_prepared(
+            &annotated,
+            constraints,
+            output_size,
+            SolverOptions::default(),
+            &SolveControl::default(),
+        )
+    }
 
     #[test]
     fn erica_finds_exact_output_size_refinement() {
@@ -323,7 +248,7 @@ mod tests {
             bound: BoundType::Lower,
             n: 4,
         }];
-        let result = erica_refine(&db, &query, &constraints, 8).unwrap();
+        let result = whole_output_refine(&db, &query, &constraints, 8).unwrap();
         let (assignment, distance) = result.best.expect("a refinement exists");
         let annotated = AnnotatedRelation::build(&db, &query).unwrap();
         assert!(satisfies_output_constraints(
@@ -348,7 +273,7 @@ mod tests {
             n: 10,
         }];
         // Only 8 distinct female students exist in the join.
-        let result = erica_refine(&db, &query, &constraints, 20).unwrap();
+        let result = whole_output_refine(&db, &query, &constraints, 20).unwrap();
         assert!(result.best.is_none());
     }
 
@@ -365,7 +290,7 @@ mod tests {
             bound: BoundType::Lower,
             n: 3,
         }];
-        let result = erica_refine(&db, &query, &constraints, 6).unwrap();
+        let result = whole_output_refine(&db, &query, &constraints, 6).unwrap();
         let (assignment, _) = result.best.expect("a refinement exists");
         let annotated = AnnotatedRelation::build(&db, &query).unwrap();
         let output = evaluate_refinement(&annotated, &assignment);

@@ -25,11 +25,10 @@
 //!   [`RefinementSession`] is `Send + Sync` (share it via `Arc` or solve
 //!   batches on the built-in worker pool,
 //!   [`RefinementSession::solve_batch_parallel`]), every backend honors one
-//!   unified deadline and cooperative cancellation through a
-//!   [`SolveControl`], and interrupted solves return
-//!   [`RefinementOutcome::Interrupted`] with their best incumbent and full
-//!   statistics. A [`SolveObserver`] streams incumbent / node / bound events
-//!   from a running MILP solve.
+//!   deadline and cooperative cancellation through a [`SolveControl`], and
+//!   interrupted solves return [`RefinementOutcome::Interrupted`] with their
+//!   best incumbent and full statistics. A [`SolveObserver`] streams
+//!   incumbent / node / bound events from a running MILP solve.
 //!
 //! * sessions are **live**: [`RefinementSession::apply`] mutates the
 //!   database at the tuple level ([`session::Mutation`]), repairs the
@@ -96,10 +95,6 @@
 //! assert_eq!(stats.delta_annotations, 1); // the mutation was a repair
 //! assert_eq!(stats.snapshot_version, 2);
 //! ```
-//!
-//! The old one-shot [`RefinementEngine`] (which re-annotated on every call)
-//! is deprecated and now delegates to a single-use session; migrate to
-//! [`RefinementSession`] + [`RefinementRequest`].
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -108,14 +103,12 @@
 pub mod cache;
 pub mod constraint;
 pub mod distance;
-pub mod engine;
 pub mod erica;
 pub mod error;
 pub mod milp_model;
 pub mod naive;
 pub mod optimize;
 pub mod paper_example;
-pub mod portfolio;
 pub mod session;
 pub mod solver;
 pub mod sync;
@@ -125,16 +118,11 @@ pub use constraint::{BoundType, CardinalityConstraint, ConstraintSet, Group};
 pub use distance::{
     jaccard_topk_distance, kendall_topk_distance, predicate_distance, DistanceMeasure,
 };
-#[allow(deprecated)]
-pub use engine::RefinementEngine;
-pub use erica::{
-    erica_refine, erica_refine_prepared, erica_refine_with, EricaResult, OutputConstraint,
-};
+pub use erica::{erica_refine_prepared, EricaResult, OutputConstraint};
 pub use error::{CoreError, Result};
 pub use milp_model::{build_model, BuiltModel, ModelVariables};
-pub use naive::{naive_search, naive_search_prepared, NaiveMode, NaiveOptions, NaiveResult};
+pub use naive::{naive_search_prepared, NaiveMode, NaiveOptions, NaiveResult};
 pub use optimize::OptimizationConfig;
-pub use portfolio::{PortfolioBackend, PortfolioEntry, PortfolioRace};
 pub use qr_milp::control::{CancelToken, SolveControl, SolveObserver, SolveProgress};
 pub use session::{
     exact_deviation, exact_distance, AnnotatedSnapshot, Mutation, RefinedQuery, RefinementOutcome,
@@ -149,13 +137,10 @@ pub mod prelude {
     pub use crate::cache::SolutionCache;
     pub use crate::constraint::{BoundType, CardinalityConstraint, ConstraintSet, Group};
     pub use crate::distance::DistanceMeasure;
-    #[allow(deprecated)]
-    pub use crate::engine::RefinementEngine;
-    pub use crate::erica::{erica_refine, erica_refine_with, OutputConstraint};
+    pub use crate::erica::OutputConstraint;
     pub use crate::error::{CoreError, Result as CoreResult};
-    pub use crate::naive::{naive_search, NaiveMode, NaiveOptions};
+    pub use crate::naive::{NaiveMode, NaiveOptions};
     pub use crate::optimize::OptimizationConfig;
-    pub use crate::portfolio::{PortfolioBackend, PortfolioRace};
     pub use crate::session::{
         AnnotatedSnapshot, Mutation, RefinedQuery, RefinementOutcome, RefinementRequest,
         RefinementResult, RefinementSession, RefinementStats, SessionResume, SessionStats,

@@ -20,7 +20,7 @@ use qr_relation::{evaluate, CmpOp, Database, SpjQuery};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::str::FromStr;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// How candidate refinements are evaluated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,16 +64,14 @@ impl FromStr for NaiveMode {
     }
 }
 
-/// Options of the exhaustive search.
+/// Options of the exhaustive search. Its wall-clock budget is the
+/// request's [`SolveControl`] deadline, like every other backend's.
 #[derive(Debug, Clone)]
 pub struct NaiveOptions {
     /// Evaluation mode.
     pub mode: NaiveMode,
     /// Hard cap on the number of candidates evaluated.
     pub max_candidates: usize,
-    /// Wall-clock budget (the paper uses a 1-hour timeout; benchmarks here
-    /// use much smaller budgets).
-    pub time_limit: Option<Duration>,
 }
 
 impl Default for NaiveOptions {
@@ -81,7 +79,6 @@ impl Default for NaiveOptions {
         NaiveOptions {
             mode: NaiveMode::Provenance,
             max_candidates: 2_000_000,
-            time_limit: Some(Duration::from_secs(60)),
         }
     }
 }
@@ -93,8 +90,8 @@ pub struct NaiveResult {
     pub best: Option<(PredicateAssignment, f64, f64)>,
     /// Number of candidate refinements evaluated.
     pub candidates_evaluated: usize,
-    /// Whether the whole refinement space was enumerated (false when a cap or
-    /// the time limit stopped the search early).
+    /// Whether the whole refinement space was enumerated (false when the
+    /// candidate cap or the control stopped the search early).
     pub exhausted: bool,
     /// Whether the search was stopped by its [`SolveControl`] (cancellation
     /// or the unified deadline) rather than by its own budget.
@@ -139,34 +136,6 @@ impl NaiveResult {
     }
 }
 
-/// Run the exhaustive search baseline, annotating from scratch (one-shot
-/// convenience). Amortized callers should prepare a
-/// [`RefinementSession`](crate::session::RefinementSession) and go through
-/// [`NaiveSolver`](crate::solver::NaiveSolver) instead.
-pub fn naive_search(
-    db: &Database,
-    query: &SpjQuery,
-    constraints: &ConstraintSet,
-    epsilon: f64,
-    distance: DistanceMeasure,
-    options: &NaiveOptions,
-) -> Result<NaiveResult> {
-    let start = Instant::now();
-    let annotated = AnnotatedRelation::build(db, query)?;
-    let annotation_time = start.elapsed();
-    let mut result = naive_search_prepared(
-        db,
-        &annotated,
-        constraints,
-        epsilon,
-        distance,
-        options,
-        &SolveControl::default(),
-    )?;
-    result.stats.charge_annotation(annotation_time);
-    Ok(result)
-}
-
 /// Run the exhaustive search baseline over already-built provenance
 /// annotations (the shared setup of a session). `db` is only consulted in
 /// [`NaiveMode::Database`], which re-evaluates every candidate on the
@@ -187,7 +156,7 @@ pub fn naive_search_prepared(
     control: &SolveControl,
 ) -> Result<NaiveResult> {
     let start = Instant::now();
-    let stop = control.stop_condition(start, None);
+    let stop = control.stop_condition(start);
     let query = annotated.query();
     constraints.validate(annotated)?;
     let k_star = constraints.k_star();
@@ -240,12 +209,6 @@ pub fn naive_search_prepared(
         if evaluated >= options.max_candidates {
             exhausted = false;
             break;
-        }
-        if let Some(limit) = options.time_limit {
-            if start.elapsed() > limit {
-                exhausted = false;
-                break;
-            }
         }
 
         // Materialise the candidate assignment.
@@ -350,7 +313,7 @@ pub fn naive_search_prepared(
 /// same condition immediately and reports the solve as interrupted.
 fn non_empty_subsets(domain: &[String], stop: &StopCondition) -> Vec<BTreeSet<String>> {
     // Cap the enumeration so pathological domains cannot allocate 2^n sets;
-    // the search loop's candidate cap / time limit handles the rest.
+    // the search loop's candidate cap / control deadline handles the rest.
     const MAX_DOMAIN_FOR_FULL_ENUMERATION: usize = 20;
     const STOP_POLL_STRIDE: u64 = 4096;
     let n = domain.len().min(MAX_DOMAIN_FOR_FULL_ENUMERATION);
@@ -376,6 +339,27 @@ mod tests {
     use crate::paper_example::{paper_database, scholarship_constraints, scholarship_query};
     use crate::session::{RefinementRequest, RefinementSession};
 
+    /// Annotate `query` over `db` and search it exhaustively, with no control.
+    fn exhaustive_search(
+        db: &Database,
+        query: &SpjQuery,
+        constraints: &ConstraintSet,
+        epsilon: f64,
+        distance: DistanceMeasure,
+        options: &NaiveOptions,
+    ) -> Result<NaiveResult> {
+        let annotated = AnnotatedRelation::build(db, query)?;
+        naive_search_prepared(
+            db,
+            &annotated,
+            constraints,
+            epsilon,
+            distance,
+            options,
+            &SolveControl::default(),
+        )
+    }
+
     #[test]
     fn subsets_enumeration() {
         let domain = vec!["a".to_string(), "b".to_string(), "c".to_string()];
@@ -399,7 +383,7 @@ mod tests {
         let db = paper_database();
         let query = scholarship_query();
         let constraints = scholarship_constraints();
-        let prov = naive_search(
+        let prov = exhaustive_search(
             &db,
             &query,
             &constraints,
@@ -411,7 +395,7 @@ mod tests {
             },
         )
         .unwrap();
-        let dbms = naive_search(
+        let dbms = exhaustive_search(
             &db,
             &query,
             &constraints,
@@ -437,7 +421,7 @@ mod tests {
         let db = paper_database();
         let query = scholarship_query();
         let constraints = scholarship_constraints();
-        let naive = naive_search(
+        let naive = exhaustive_search(
             &db,
             &query,
             &constraints,
@@ -475,7 +459,7 @@ mod tests {
             6,
             3,
         ));
-        let naive = naive_search(
+        let naive = exhaustive_search(
             &db,
             &query,
             &constraints,
@@ -534,7 +518,7 @@ mod tests {
             3,
             2,
         ));
-        let result = naive_search(
+        let result = exhaustive_search(
             &db,
             &query,
             &constraints,
@@ -552,7 +536,7 @@ mod tests {
         let db = paper_database();
         let query = scholarship_query();
         let constraints = scholarship_constraints();
-        let result = naive_search(
+        let result = exhaustive_search(
             &db,
             &query,
             &constraints,

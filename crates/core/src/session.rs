@@ -147,10 +147,10 @@ pub struct SessionStats {
 /// matching the paper's single "Setup" column.
 #[derive(Debug, Clone, Default)]
 pub struct RefinementStats {
-    /// Time spent building provenance annotations. Zero when the solve went
-    /// through a [`RefinementSession`] (the session paid it once, see
-    /// [`SessionStats::annotation_time`]); non-zero for one-shot entry points
-    /// that annotate internally.
+    /// Time spent building provenance annotations. Zero for a solve through
+    /// a [`RefinementSession`] (the session paid it once, see
+    /// [`SessionStats::annotation_time`]) unless the caller charged that
+    /// setup to the request with [`Self::charge_annotation`].
     pub annotation_time: Duration,
     /// Time spent constructing the MILP (or preparing the search) for this
     /// specific request.
@@ -220,23 +220,84 @@ pub struct RefinementStats {
     /// the nearest solved ε of the same model family (cross-request warm
     /// start; mirrors [`qr_milp::solution::SolveStats::warm_entry_solves`]).
     pub cache_warm_starts: usize,
-    /// 1 when this result was produced by
-    /// [`RefinementSession::solve_portfolio`] racing several backends.
-    pub portfolio_races: usize,
-    /// Backend that won the portfolio race (`None` for non-portfolio solves
-    /// and for races that fell back to the MILP result without an acceptable
-    /// winner).
-    pub portfolio_winner: Option<crate::portfolio::PortfolioBackend>,
 }
 
 impl RefinementStats {
     /// Fold a share of session setup into these stats, producing the
-    /// one-shot view: the deprecated engine shim and end-to-end benchmark
-    /// rows charge annotation to the single request that triggered it.
+    /// one-shot view: end-to-end benchmark rows charge annotation to the
+    /// single request that triggered it.
     pub fn charge_annotation(&mut self, annotation_time: Duration) {
         self.annotation_time += annotation_time;
         self.setup_time += annotation_time;
         self.total_time += annotation_time;
+    }
+
+    /// Stats of a request that just built `model` in `model_build_time`:
+    /// the model's shape, with the build as the request's whole setup (the
+    /// session paid for annotation). The one prologue of every MILP-backed
+    /// solve — fresh, resumed and Erica-style.
+    pub(crate) fn for_model(
+        model: &qr_milp::Model,
+        scope_size: usize,
+        annotated: &AnnotatedRelation,
+        model_build_time: Duration,
+    ) -> Self {
+        RefinementStats {
+            model_build_time,
+            setup_time: model_build_time,
+            num_variables: model.num_variables(),
+            num_integer_variables: model.num_integer_variables(),
+            num_constraints: model.num_constraints(),
+            scope_size,
+            lineage_classes: annotated.classes().len(),
+            ..RefinementStats::default()
+        }
+    }
+
+    /// Route one MILP solve's counters into these stats — the one
+    /// `SolveStats → RefinementStats` merge. It destructures exhaustively, so
+    /// a solver counter added without deciding how it reaches this layer is
+    /// a compile error here.
+    pub(crate) fn record_solve(&mut self, solve: SolveStats) {
+        let SolveStats {
+            nodes,
+            lp_solves,
+            simplex_iterations,
+            warm_lp_solves,
+            cold_lp_solves,
+            refactorizations,
+            eta_updates,
+            lu_nnz,
+            matrix_nnz,
+            solve_time,
+            // The objective bound is already carried by the solution's
+            // objective/status; refinement callers never read it.
+            best_bound: _,
+            interrupted,
+            resumed_solves,
+            nodes_restored,
+            resume_captures,
+            warm_entry_solves,
+        } = solve;
+        self.solver_time = solve_time;
+        self.nodes = nodes;
+        self.lp_solves = lp_solves;
+        self.simplex_iterations = simplex_iterations;
+        self.warm_lp_solves = warm_lp_solves;
+        self.cold_lp_solves = cold_lp_solves;
+        self.refactorizations = refactorizations;
+        self.eta_updates = eta_updates;
+        self.lu_nnz = lu_nnz;
+        self.matrix_nnz = matrix_nnz;
+        self.interrupted = interrupted;
+        self.resumed_solves = resumed_solves;
+        self.nodes_restored = nodes_restored;
+        self.resume_captures = resume_captures;
+        // The solver reports whether the caller-supplied warm entry actually
+        // seeded the search (0 when warm starts are disabled in the solver
+        // options), which is exactly what "warm-started from the cache"
+        // should mean at this layer.
+        self.cache_warm_starts = warm_entry_solves;
     }
 }
 
@@ -292,14 +353,6 @@ pub struct StatsAggregate {
     pub cache_misses: usize,
     /// How many recorded solves were warm-started from a cached basis.
     pub cache_warm_starts: usize,
-    /// How many recorded solves were portfolio races.
-    pub portfolio_races: usize,
-    /// Portfolio races won by the MILP backend.
-    pub portfolio_wins_milp: usize,
-    /// Portfolio races won by the exhaustive provenance backend.
-    pub portfolio_wins_naive: usize,
-    /// Portfolio races won by the Erica-style whole-output backend.
-    pub portfolio_wins_erica: usize,
     /// Largest MILP (variables) seen.
     pub max_variables: usize,
     /// Largest MILP (constraints) seen.
@@ -355,8 +408,6 @@ impl StatsAggregate {
             cache_hits,
             cache_misses,
             cache_warm_starts,
-            portfolio_races,
-            portfolio_winner,
         } = stats;
         self.solves += 1;
         self.interrupted += usize::from(*interrupted);
@@ -366,15 +417,6 @@ impl StatsAggregate {
         self.cache_hits += cache_hits;
         self.cache_misses += cache_misses;
         self.cache_warm_starts += cache_warm_starts;
-        self.portfolio_races += portfolio_races;
-        match portfolio_winner {
-            Some(crate::portfolio::PortfolioBackend::Milp) => self.portfolio_wins_milp += 1,
-            Some(crate::portfolio::PortfolioBackend::NaiveProvenance) => {
-                self.portfolio_wins_naive += 1
-            }
-            Some(crate::portfolio::PortfolioBackend::Erica) => self.portfolio_wins_erica += 1,
-            None => {}
-        }
         self.annotation_time += *annotation_time;
         self.model_build_time += *model_build_time;
         self.solver_time += *solver_time;
@@ -410,7 +452,7 @@ pub struct RefinedQuery {
     /// Exact deviation (Definition 2.6) of the refined query's output.
     pub deviation: f64,
     /// Whether the solver proved optimality (vs. stopping at a feasible
-    /// solution due to node/time limits).
+    /// solution at its node limit).
     pub proven_optimal: bool,
 }
 
@@ -424,7 +466,7 @@ pub enum RefinementOutcome {
     /// within the solver's limits — see the flag).
     NoRefinement {
         /// True when the solver proved infeasibility; false when it merely
-        /// hit a node/time limit first.
+        /// hit its node limit first.
         proven_infeasible: bool,
     },
     /// The solve was interrupted by its [`SolveControl`] — a cancelled
@@ -478,9 +520,7 @@ impl RefinementOutcome {
     /// Whether this outcome is a *proven terminal* answer — an optimal
     /// refinement or proven infeasibility — i.e. a deterministic property of
     /// (snapshot, request) independent of solver limits. Only such outcomes
-    /// are memoized by the [`SolutionCache`](crate::cache::SolutionCache)
-    /// and only they can win a
-    /// [portfolio race](crate::session::RefinementSession::solve_portfolio).
+    /// are memoized by the [`SolutionCache`](crate::cache::SolutionCache).
     #[must_use]
     pub fn is_proven_terminal(&self) -> bool {
         match self {
@@ -589,7 +629,8 @@ pub struct RefinementRequest {
     pub distance: DistanceMeasure,
     /// Which Section 4 optimizations to apply when building the MILP.
     pub optimizations: OptimizationConfig,
-    /// MILP solver budget (node/time limits, ...).
+    /// MILP solver budget (node limit, LP iteration limit, ...). The
+    /// wall-clock limit is the [`control`](Self::control) deadline.
     pub solver_options: SolverOptions,
     /// Execution control: cooperative cancellation, the unified deadline
     /// honored by *every* backend (MILP, Naive, Erica), and an optional
@@ -653,19 +694,17 @@ impl RefinementRequest {
         self
     }
 
-    /// Override the MILP solver options (node/time limits, ...).
+    /// Override the MILP solver options (node limit, LP iteration limit, ...).
     #[must_use]
     pub fn with_solver_options(mut self, options: SolverOptions) -> Self {
         self.solver_options = options;
         self
     }
 
-    /// Bound the solve's wall-clock time — the *unified* deadline, honored
+    /// Bound the solve's wall-clock time — the one deadline, honored
     /// identically by every backend (the MILP engine, the exhaustive
     /// baselines, and the Erica-style baseline). Exceeding it yields
-    /// [`RefinementOutcome::Interrupted`] carrying the best incumbent found,
-    /// unlike the budget-style [`SolverOptions::time_limit`] whose historical
-    /// `Feasible`/`NoRefinement` semantics are preserved.
+    /// [`RefinementOutcome::Interrupted`] carrying the best incumbent found.
     #[must_use]
     pub fn with_time_limit(mut self, limit: Duration) -> Self {
         self.control = self.control.with_time_limit(limit);
@@ -1051,28 +1090,10 @@ impl RefinementSession {
         }
 
         // Per-request setup: MILP construction over the pinned annotations.
-        let built = build_model(
-            annotated,
-            &request.constraints,
-            request.epsilon,
-            request.distance,
-            &request.optimizations,
-        )?;
-        let model_build_time = start.elapsed();
-
-        let mut stats = RefinementStats {
-            model_build_time,
-            setup_time: model_build_time,
-            num_variables: built.model.num_variables(),
-            num_integer_variables: built.model.num_integer_variables(),
-            num_constraints: built.model.num_constraints(),
-            scope_size: built.vars.scope.len(),
-            lineage_classes: annotated.classes().len(),
-            // Reaching this point on a cache-enabled session means the memo
-            // lookup above came back empty.
-            cache_misses: usize::from(self.cache.is_some()),
-            ..RefinementStats::default()
-        };
+        let (built, mut stats) = build_request_model(annotated, request, start)?;
+        // Reaching this point on a cache-enabled session means the memo
+        // lookup above came back empty.
+        stats.cache_misses = usize::from(self.cache.is_some());
 
         // Exact fast path: if the original query already deviates by at most
         // ε (and its output is long enough for the top-k* constraints to
@@ -1186,29 +1207,11 @@ impl RefinementSession {
             });
         }
         let request = &resume.request;
-        let annotated = snapshot.annotated();
         // Deterministic rebuild of the model the checkpoint was captured
         // from: same snapshot + same request parameters → byte-identical
         // coefficients. The MILP layer re-verifies via the structural
         // fingerprint before continuing.
-        let built = build_model(
-            annotated,
-            &request.constraints,
-            request.epsilon,
-            request.distance,
-            &request.optimizations,
-        )?;
-        let model_build_time = start.elapsed();
-        let stats = RefinementStats {
-            model_build_time,
-            setup_time: model_build_time,
-            num_variables: built.model.num_variables(),
-            num_integer_variables: built.model.num_integer_variables(),
-            num_constraints: built.model.num_constraints(),
-            scope_size: built.vars.scope.len(),
-            lineage_classes: annotated.classes().len(),
-            ..RefinementStats::default()
-        };
+        let (built, stats) = build_request_model(snapshot.annotated(), request, start)?;
         let solver = Solver::new(request.solver_options.clone());
         let solution = solver.resume_with_control(&built.model, &resume.state, control)?;
         Ok(self.finish_milp_solve(&snapshot, request, &built, solution, stats, start))
@@ -1217,8 +1220,8 @@ impl RefinementSession {
     /// Package a MILP [`qr_milp::Solution`] into a [`RefinementResult`]
     /// against one pinned snapshot — the shared tail of
     /// [`solve_on`](Self::solve_on) and [`resume`](Self::resume): route the
-    /// solver statistics (exhaustively), describe the assignment or
-    /// incumbent, and pin any captured resume state to the snapshot version.
+    /// solver statistics, describe the assignment or incumbent, and pin any
+    /// captured resume state to the snapshot version.
     fn finish_milp_solve(
         &self,
         snapshot: &AnnotatedSnapshot,
@@ -1228,48 +1231,7 @@ impl RefinementSession {
         mut stats: RefinementStats,
         start: Instant,
     ) -> RefinementResult {
-        // Exhaustive destructuring — not field-by-field copies — so adding a
-        // field to `SolveStats` without deciding how it reaches
-        // `RefinementStats` is a compile error at this merge site.
-        let SolveStats {
-            nodes,
-            lp_solves,
-            simplex_iterations,
-            warm_lp_solves,
-            cold_lp_solves,
-            refactorizations,
-            eta_updates,
-            lu_nnz,
-            matrix_nnz,
-            solve_time,
-            // The objective bound is already carried by the solution's
-            // objective/status; refinement callers never read it.
-            best_bound: _,
-            interrupted,
-            resumed_solves,
-            nodes_restored,
-            resume_captures,
-            warm_entry_solves,
-        } = solution.stats;
-        stats.solver_time = solve_time;
-        stats.nodes = nodes;
-        stats.lp_solves = lp_solves;
-        stats.simplex_iterations = simplex_iterations;
-        stats.warm_lp_solves = warm_lp_solves;
-        stats.cold_lp_solves = cold_lp_solves;
-        stats.refactorizations = refactorizations;
-        stats.eta_updates = eta_updates;
-        stats.lu_nnz = lu_nnz;
-        stats.matrix_nnz = matrix_nnz;
-        stats.interrupted = interrupted;
-        stats.resumed_solves = resumed_solves;
-        stats.nodes_restored = nodes_restored;
-        stats.resume_captures = resume_captures;
-        // The solver reports whether the caller-supplied warm entry actually
-        // seeded the search (0 when warm starts are disabled in the solver
-        // options), which is exactly what "warm-started from the cache"
-        // should mean at this layer.
-        stats.cache_warm_starts = warm_entry_solves;
+        stats.record_solve(solution.stats);
         stats.total_time = start.elapsed();
 
         let outcome = match solution.status {
@@ -1509,6 +1471,30 @@ impl RefinementSession {
     }
 }
 
+/// Build `request`'s MILP over `annotated` and the stats of a request that
+/// started at `start` and has just paid for that build — the setup shared by
+/// [`RefinementSession::solve_on`] and [`RefinementSession::resume`].
+fn build_request_model(
+    annotated: &AnnotatedRelation,
+    request: &RefinementRequest,
+    start: Instant,
+) -> Result<(BuiltModel, RefinementStats)> {
+    let built = build_model(
+        annotated,
+        &request.constraints,
+        request.epsilon,
+        request.distance,
+        &request.optimizations,
+    )?;
+    let stats = RefinementStats::for_model(
+        &built.model,
+        built.vars.scope.len(),
+        annotated,
+        start.elapsed(),
+    );
+    Ok((built, stats))
+}
+
 /// Identity key of an output tuple for top-k comparisons: the DISTINCT key if
 /// the query de-duplicates (so the "same" entity selected through a different
 /// join partner still counts as the same item), otherwise the tuple's
@@ -1583,8 +1569,6 @@ const _: () = {
     assert_send_sync::<SessionResume>();
     assert_send_sync::<crate::cache::SolutionCache>();
     assert_send_sync::<crate::cache::CacheKey>();
-    assert_send_sync::<crate::portfolio::PortfolioBackend>();
-    assert_send_sync::<crate::portfolio::PortfolioRace>();
 };
 
 #[cfg(test)]

@@ -109,13 +109,6 @@ impl NaiveSolver {
             },
         }
     }
-
-    /// Override the search budget.
-    #[must_use]
-    pub fn with_options(mut self, options: NaiveOptions) -> Self {
-        self.options = options;
-        self
-    }
 }
 
 impl RefinementSolver for NaiveSolver {

@@ -32,19 +32,15 @@ use crate::resume::{model_fingerprint, FrontierNode as Node, ResumeState};
 use crate::simplex::{LpSolution, LpStatus, LpWorkspace};
 use crate::solution::{Solution, SolveStats, SolveStatus};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Tunable solver parameters.
 #[derive(Debug, Clone)]
 pub struct SolverOptions {
-    /// Maximum number of branch-and-bound nodes to process.
+    /// Maximum number of branch-and-bound nodes to process. Reaching it ends
+    /// the solve `Feasible` or `LimitReached`; wall-clock limits belong to
+    /// the [`SolveControl`] instead.
     pub max_nodes: usize,
-    /// Wall-clock time limit. This is the *budget* limit with the historical
-    /// `Feasible`/`LimitReached` semantics; the execution-control deadline
-    /// ([`SolveControl::with_time_limit`]) instead ends the solve with
-    /// [`SolveStatus::Interrupted`]. When both are set, LPs stop on whichever
-    /// cut-off comes first.
-    pub time_limit: Option<Duration>,
     /// Tolerance for considering an LP value integral.
     pub integrality_tol: f64,
     /// Iteration cap for each LP solve.
@@ -66,7 +62,6 @@ impl Default for SolverOptions {
     fn default() -> Self {
         SolverOptions {
             max_nodes: 200_000,
-            time_limit: Some(Duration::from_secs(300)),
             integrality_tol: crate::tol::INTEGRALITY_TOL,
             max_lp_iterations: 50_000,
             propagation_passes: 12,
@@ -231,9 +226,8 @@ impl Solver {
     /// problem. The returned [`Solution`] reports *this segment's* statistics
     /// (with [`SolveStats::resumed_solves`] and
     /// [`SolveStats::nodes_restored`] set); cumulative node counts are
-    /// available through [`ResumeState::nodes_so_far`]. Node and time limits
-    /// ([`SolverOptions::max_nodes`], [`SolverOptions::time_limit`]) are
-    /// per-segment budgets.
+    /// available through [`ResumeState::nodes_so_far`]. The node limit
+    /// ([`SolverOptions::max_nodes`]) is a per-segment budget.
     ///
     /// ```
     /// use qr_milp::control::{CancelToken, SolveControl};
@@ -293,12 +287,8 @@ impl Solver {
         };
 
         let n = model.num_variables();
-        let legacy_deadline = opts.time_limit.map(|limit| start + limit);
         let control_deadline = control.deadline_from(start);
-        // The LP pivot loops stop on whichever cut-off comes first — and on
-        // cancellation; which of the two deadlines fired is re-derived at the
-        // node loop to pick the right terminal status.
-        let lp_stop = control.stop_condition(start, legacy_deadline);
+        let lp_stop = control.stop_condition(start);
         let root_lower: Vec<f64> = model.variables().iter().map(|v| v.lower).collect();
         let root_upper: Vec<f64> = model.variables().iter().map(|v| v.upper).collect();
 
@@ -425,8 +415,7 @@ impl Solver {
                 interrupted = true;
                 break;
             }
-            if stats.nodes >= opts.max_nodes || legacy_deadline.is_some_and(|d| Instant::now() > d)
-            {
+            if stats.nodes >= opts.max_nodes {
                 stack.push(node);
                 limit_hit = true;
                 break;
@@ -467,7 +456,6 @@ impl Solver {
                 }
 
                 // LP relaxation, warm-started from the parent basis when allowed.
-                let lp_start = Instant::now();
                 let warm = if opts.use_warm_start {
                     parent_basis.as_deref()
                 } else {
@@ -482,18 +470,6 @@ impl Solver {
                     &lp_stop,
                     &mut stats,
                 )?;
-                if std::env::var_os("QR_MILP_DEBUG").is_some() {
-                    eprintln!(
-                    "[qr-milp] node {} lp {:?} iters {} ({}) in {:?} (stack {}, incumbent {:?})",
-                    stats.nodes,
-                    lp.status,
-                    lp.iterations,
-                    if lp.warm_started { "warm" } else { "cold" },
-                    lp_start.elapsed(),
-                    stack.len(),
-                    incumbent.as_ref().map(|(o, _)| *o),
-                );
-                }
                 // A control stop that fires *inside* this node's LP surfaces as
                 // an iteration-limited LP. Re-pushing the node (propagated
                 // bounds, original parent basis) instead of branching it on
@@ -739,9 +715,8 @@ impl Solver {
             }
         }
 
-        // A control stop observed only while draining a legacy-limited loop
-        // still counts as the interruption it is. Reconcile here: a
-        // triggered control is always reported as the interruption it is.
+        // A control stop observed only after a node-limited or unreliable
+        // exit still counts as the interruption it is.
         if limit_hit && !interrupted {
             interrupted =
                 control.is_cancelled() || control_deadline.is_some_and(|d| Instant::now() > d);
@@ -750,8 +725,8 @@ impl Solver {
         // moves (not copies) into the state, along with everything a later
         // segment needs to continue exactly here. An interrupted solve with
         // an *empty* stack has nothing left to explore (or lost a subtree to
-        // the legacy LP-iteration cap, which no checkpoint can recover), so
-        // it carries no resume state.
+        // the LP-iteration cap, which no checkpoint can recover), so it
+        // carries no resume state.
         let resume = if interrupted && !stack.is_empty() {
             stats.resume_captures = 1;
             Some(Box::new(ResumeState {

@@ -2,20 +2,20 @@
 //! unified deadlines, and progress observation.
 //!
 //! A MILP solve can run for minutes; a service answering many refinement
-//! requests needs three things the bare [`SolverOptions`] budget does not
-//! give it:
+//! requests needs three things the [`SolverOptions`] search budget (a node
+//! limit and a per-LP iteration limit) does not give it:
 //!
 //! * **Cancellation** — a [`CancelToken`] shared with other threads. The
 //!   branch-and-bound node loop and the simplex pivot loops poll it
 //!   cooperatively (every node, and every 64 pivots inside one LP), so a
 //!   cancelled solve returns within a few pivots carrying its best incumbent
 //!   and complete statistics under [`SolveStatus::Interrupted`].
-//! * **A unified deadline** — one wall-clock budget ([`SolveControl::with_time_limit`])
+//! * **A deadline** — one wall-clock budget ([`SolveControl::with_time_limit`])
 //!   or absolute cut-off ([`SolveControl::with_deadline`]) honored by *every*
-//!   backend the same way, replacing per-backend `time_limit` plumbing.
-//!   Exceeding it also yields [`SolveStatus::Interrupted`]; the legacy
-//!   [`SolverOptions::time_limit`] keeps its historical `Feasible`/
-//!   `LimitReached` semantics for existing callers.
+//!   backend the same way. It is the only wall-clock limit: exceeding it
+//!   yields [`SolveStatus::Interrupted`]. Only the node limit and the
+//!   LP-iteration limit of [`SolverOptions`] end a solve `Feasible` or
+//!   `LimitReached`.
 //! * **Progress** — a [`SolveObserver`] receiving incumbent / node / bound
 //!   events from the branch-and-bound loop, enabling anytime and streaming
 //!   consumption of a running solve (including cancelling it from inside a
@@ -40,7 +40,6 @@
 //! ```
 //!
 //! [`SolverOptions`]: crate::branch_bound::SolverOptions
-//! [`SolverOptions::time_limit`]: crate::branch_bound::SolverOptions::time_limit
 //! [`SolveStatus::Interrupted`]: crate::solution::SolveStatus::Interrupted
 
 use std::fmt;
@@ -130,9 +129,8 @@ pub trait SolveObserver: Send + Sync {
 }
 
 /// Execution control for one solve (or a batch of them): cooperative
-/// cancellation, a unified deadline, and an optional progress observer. See
-/// the [module docs](self) for how it interacts with the legacy
-/// [`SolverOptions::time_limit`](crate::branch_bound::SolverOptions::time_limit).
+/// cancellation, a deadline, and an optional progress observer. See the
+/// [module docs](self).
 #[derive(Clone, Default)]
 pub struct SolveControl {
     time_limit: Option<Duration>,
@@ -223,16 +221,10 @@ impl SolveControl {
     }
 
     /// Resolve this control into the per-solve [`StopCondition`] polled by
-    /// the simplex pivot loops, folding in an optional additional deadline
-    /// (the legacy per-options one).
-    pub fn stop_condition(&self, start: Instant, extra_deadline: Option<Instant>) -> StopCondition {
-        let own = self.deadline_from(start);
-        let deadline = match (own, extra_deadline) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
+    /// the simplex pivot loops, for a solve starting at `start`.
+    pub fn stop_condition(&self, start: Instant) -> StopCondition {
         StopCondition {
-            deadline,
+            deadline: self.deadline_from(start),
             cancel: self.cancel.clone(),
         }
     }
@@ -266,15 +258,6 @@ impl StopCondition {
     #[must_use]
     pub fn none() -> Self {
         Self::default()
-    }
-
-    /// A pure-deadline condition (no cancellation).
-    #[must_use]
-    pub fn at(deadline: Option<Instant>) -> Self {
-        StopCondition {
-            deadline,
-            cancel: None,
-        }
     }
 
     /// Whether cancellation has been requested.
@@ -317,11 +300,7 @@ mod tests {
         let absolute = start + Duration::from_secs(5);
         let both = relative.with_deadline(absolute);
         assert_eq!(both.deadline_from(start), Some(absolute));
-
-        // The legacy options deadline folds in the same way.
-        let legacy = start + Duration::from_secs(2);
-        let stop = both.stop_condition(start, Some(legacy));
-        assert_eq!(stop.deadline, Some(legacy));
+        assert_eq!(both.stop_condition(start).deadline, Some(absolute));
     }
 
     #[test]
@@ -357,7 +336,9 @@ mod tests {
         token.cancel();
         assert!(stop.should_stop());
 
-        let expired = StopCondition::at(Some(Instant::now() - Duration::from_millis(1)));
+        let expired = SolveControl::new()
+            .with_deadline(Instant::now() - Duration::from_millis(1))
+            .stop_condition(Instant::now());
         assert!(expired.should_stop());
         assert!(!expired.is_cancelled());
         assert!(!StopCondition::none().should_stop());

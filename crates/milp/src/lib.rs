@@ -22,7 +22,7 @@
 //! * interval-arithmetic bound propagation used as a presolve and at every
 //!   branch-and-bound node ([`propagate`]),
 //! * branch-and-bound with branching priorities, best-bound pruning, a
-//!   structure-aware diving heuristic and node/time limits
+//!   structure-aware diving heuristic and a node limit
 //!   ([`branch_bound`]). Each node LP is warm-started from its parent's
 //!   optimal basis (a child differs by a single branched bound), which cuts
 //!   per-node simplex pivots by an order of magnitude on the refinement
@@ -31,14 +31,11 @@
 //!   warm-start gain and factorization health are observable,
 //! * execution control for service use ([`control`]): the whole solve path
 //!   is `Send + Sync`, and [`Solver::solve_with_control`] accepts a
-//!   [`SolveControl`] carrying a cooperative [`CancelToken`], a unified
-//!   deadline, and a [`SolveObserver`] for incumbent / node / bound progress
-//!   events. A cancelled or deadline-struck solve ends with
+//!   [`SolveControl`] carrying a cooperative [`CancelToken`], the solve's
+//!   only wall-clock deadline, and a [`SolveObserver`] for incumbent / node /
+//!   bound progress events. A cancelled or deadline-struck solve ends with
 //!   [`SolveStatus::Interrupted`], still reporting its best incumbent and
 //!   complete statistics.
-//!
-//! Set `QR_MILP_DEBUG=1` to trace phase transitions, warm-start outcomes and
-//! per-node LP statistics on stderr.
 //!
 //! The solver targets the problem sizes produced by `qr-core` (hundreds to a
 //! few thousand variables). It is exact: if it reports

@@ -490,23 +490,14 @@ impl LpWorkspace {
             }
             Err(e) => return Err(e),
         };
-        let debug = std::env::var_os("QR_MILP_DEBUG").is_some();
         match dual_status {
             DualStatus::Infeasible => {
                 // An infeasibility certificate prunes a subtree, so only
                 // trust one derived from a basis refactorized this solve; a
                 // reused factorization earns a refactorized retry instead.
                 if reuse {
-                    if debug {
-                        eprintln!(
-                            "[qr-milp] warm: infeasible after {iterations} dual pivots, re-checking refactorized"
-                        );
-                    }
                     *wasted += iterations;
                     return Ok(None);
-                }
-                if debug {
-                    eprintln!("[qr-milp] warm: infeasible after {iterations} dual pivots");
                 }
                 self.basis_valid = true;
                 let mut sol =
@@ -515,9 +506,6 @@ impl LpWorkspace {
                 return Ok(Some(sol));
             }
             DualStatus::IterationLimit => {
-                if debug {
-                    eprintln!("[qr-milp] warm: dual stalled after {iterations} pivots, going cold");
-                }
                 *wasted += iterations;
                 return Ok(None);
             }
@@ -534,9 +522,6 @@ impl LpWorkspace {
             }
             Err(e) => return Err(e),
         };
-        if debug {
-            eprintln!("[qr-milp] warm: {iterations} pivots, cleanup status {status2:?}");
-        }
         match status2 {
             LpStatus::Optimal => {}
             // A child LP of a bounded-optimal parent cannot truly be
@@ -575,7 +560,6 @@ impl LpWorkspace {
     ) -> Result<LpSolution> {
         self.basis_valid = false;
         let m = self.n_rows;
-        let debug = std::env::var_os("QR_MILP_DEBUG").is_some();
 
         // (The crash below re-frees the artificials phase 1 needs.)
         self.load_bounds(lower, upper);
@@ -641,11 +625,6 @@ impl LpWorkspace {
             // Phase 1: minimise total artificial magnitude (cost is ±1 on
             // the freed artificials, zero elsewhere — already in `cost`).
             let status1 = self.primal_phase(max_iterations, stop, &mut iterations)?;
-            if debug {
-                eprintln!(
-                    "[qr-milp] phase1: {iterations} iters, status {status1:?}, {n_art} artificials"
-                );
-            }
             // Phase 1's objective (total infeasibility) is bounded below by
             // zero, so `Unbounded` can only be numerical noise — treat both
             // non-optimal outcomes as an unreliable solve.
@@ -702,9 +681,6 @@ impl LpWorkspace {
         // Phase 2: minimise the true objective.
         self.cost.copy_from_slice(&self.objective);
         let status2 = self.primal_phase(max_iterations, stop, &mut iterations)?;
-        if debug {
-            eprintln!("[qr-milp] phase2: {iterations} iters total, status {status2:?}");
-        }
 
         match status2 {
             LpStatus::Optimal => match self.package_optimal(iterations) {
@@ -1003,11 +979,6 @@ impl LpWorkspace {
                 perturbed = true;
                 perturbation_rounds += 1;
                 degenerate_streak = 0;
-                if std::env::var_os("QR_MILP_DEBUG").is_some() {
-                    eprintln!(
-                        "[qr-milp]   iter {phase_iters}: cost perturbation round {perturbation_rounds}"
-                    );
-                }
             }
 
             // --- Pricing: pick an entering column and a direction. ---
@@ -1216,20 +1187,6 @@ impl LpWorkspace {
             // Periodically refresh reduced costs to limit drift.
             if phase_iters.is_multiple_of(256) {
                 self.refresh_reduced();
-                if phase_iters.is_multiple_of(2048) && std::env::var_os("QR_MILP_DEBUG").is_some() {
-                    let obj: f64 = (0..n)
-                        .map(|j| {
-                            let v = match self.status[j] {
-                                VarStatus::Basic(slot) => self.x_basic[slot],
-                                s => nonbasic_value(s, self.lower[j], self.upper[j]),
-                            };
-                            self.cost[j] * v
-                        })
-                        .sum();
-                    eprintln!(
-                        "[qr-milp]   iter {phase_iters}: obj {obj:.6}, degenerate streak {degenerate_streak}"
-                    );
-                }
             }
         }
     }

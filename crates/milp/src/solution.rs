@@ -11,14 +11,17 @@ use std::time::Duration;
 pub enum SolveStatus {
     /// The returned assignment is optimal (within tolerances).
     Optimal,
-    /// A feasible assignment was found but optimality was not proven within
-    /// the node/time limits.
+    /// A feasible assignment was found but optimality was not proven: the
+    /// node limit was reached, or an LP hit its iteration limit and the
+    /// search had to drop that node.
     Feasible,
     /// The problem has no feasible mixed-integer assignment.
     Infeasible,
     /// The LP relaxation is unbounded below.
     Unbounded,
-    /// A node/time limit was reached before any feasible assignment was found.
+    /// No feasible assignment was found, and infeasibility was not proven:
+    /// the node limit was reached, or an LP hit its iteration limit and the
+    /// search had to drop that node.
     LimitReached,
     /// The solve was interrupted by its [`SolveControl`] — a cancelled
     /// [`CancelToken`] or an exceeded control deadline. The best incumbent

@@ -184,12 +184,13 @@ fn stacked_controls_cannot_loosen_an_earlier_stop() {
     );
 }
 
-/// The legacy `SolverOptions::time_limit` keeps its historical semantics
-/// (`Feasible`/`LimitReached`, not `Interrupted`) alongside the new control.
+/// The node limit is a search budget, not an interruption: it ends the solve
+/// `LimitReached`/`Feasible`, never `Interrupted`. Wall-clock stops belong to
+/// the control alone.
 #[test]
-fn legacy_time_limit_is_not_an_interruption() {
+fn node_limit_is_not_an_interruption() {
     let solver = Solver::new(SolverOptions {
-        time_limit: Some(Duration::ZERO),
+        max_nodes: 0,
         use_rounding_heuristic: false,
         ..SolverOptions::default()
     });

@@ -27,7 +27,6 @@ fn main() {
     // A visible search budget: the unoptimized build in particular may return
     // its best incumbent rather than a proven optimum within this window.
     let budget = SolverOptions {
-        time_limit: Some(Duration::from_secs(10)),
         max_nodes: 50_000,
         ..SolverOptions::default()
     };
@@ -44,7 +43,8 @@ fn main() {
         .with_constraints(constraints)
         .with_epsilon(0.5)
         .with_distance(DistanceMeasure::Predicate)
-        .with_solver_options(budget);
+        .with_solver_options(budget)
+        .with_time_limit(Duration::from_secs(10));
 
     for config in [OptimizationConfig::none(), OptimizationConfig::all()] {
         let result = session

@@ -37,14 +37,14 @@ fn main() {
     // A visible search budget: at this dataset size the from-scratch solver
     // may return the best incumbent found rather than a proven optimum.
     let budget = SolverOptions {
-        time_limit: Some(Duration::from_secs(10)),
         max_nodes: 50_000,
         ..SolverOptions::default()
     };
     let base = RefinementRequest::new()
         .with_constraints(constraints)
         .with_epsilon(0.5)
-        .with_solver_options(budget);
+        .with_solver_options(budget)
+        .with_time_limit(Duration::from_secs(10));
 
     let mut refinements = Vec::new();
     for distance in [DistanceMeasure::Predicate, DistanceMeasure::JaccardTopK] {

@@ -25,7 +25,6 @@ fn main() {
     // A visible search budget: at this dataset size the from-scratch solver
     // may return the best incumbent found rather than a proven optimum.
     let budget = SolverOptions {
-        time_limit: Some(Duration::from_secs(10)),
         max_nodes: 50_000,
         ..SolverOptions::default()
     };
@@ -35,7 +34,8 @@ fn main() {
     let base = RefinementRequest::new()
         .with_constraints(constraints)
         .with_epsilon(0.25)
-        .with_solver_options(budget);
+        .with_solver_options(budget)
+        .with_time_limit(Duration::from_secs(10));
 
     for distance in [DistanceMeasure::Predicate, DistanceMeasure::JaccardTopK] {
         let result = session
@@ -59,10 +59,7 @@ fn main() {
     // The exhaustive baseline enumerates every refinement; on Q_L's domain it
     // is still feasible, just slower. Same session, same request — only the
     // solver backend differs.
-    let naive = NaiveSolver::new(NaiveMode::Provenance).with_options(NaiveOptions {
-        time_limit: Some(Duration::from_secs(10)),
-        ..NaiveOptions::default()
-    });
+    let naive = NaiveSolver::new(NaiveMode::Provenance);
     let request = base.with_distance(DistanceMeasure::Predicate);
     let result = session
         .solve_with(&naive, &request)

@@ -1,6 +1,6 @@
-//! Cross-request reuse and portfolio racing, end to end.
+//! Cross-request reuse, end to end.
 //!
-//! Four contracts, mirroring the subsystem's promises:
+//! Three contracts, mirroring the subsystem's promises:
 //!
 //! * **Work reduction**: a fig5-style ε-sweep on a cache-enabled session
 //!   does measurably fewer cold LP solves and fewer total simplex pivots
@@ -14,20 +14,12 @@
 //!   version, after which no stale cache entry can be served — the mutated
 //!   session answers exactly like a fresh, cache-less session on the
 //!   mutated database.
-//! * **Portfolio racing**: `solve_portfolio` returns the first acceptable
-//!   backend's answer and trips the losers' shared [`CancelToken`],
-//!   observer-verified: a deliberately slow entrant streams progress events
-//!   until the cancellation reaches it mid-flight.
 
 use proptest::prelude::*;
 use query_refinement::core::paper_example::{
     paper_database, scholarship_constraints, scholarship_query,
 };
 use query_refinement::core::prelude::*;
-use query_refinement::core::solver::RefinementSolver;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 const TOL: f64 = qr_milp::tol::ASSERT_TOL;
 
@@ -239,131 +231,4 @@ fn version_mismatch_evicts_stale_entries() {
         1,
         "all pre-mutation entries must be evicted on first use of the new version"
     );
-}
-
-/// A deliberately slow entrant: streams `node_processed` events through the
-/// request's observer (proof it is genuinely mid-flight) until the shared
-/// race token interrupts it, then reports `Interrupted` and records that the
-/// cancellation reached it.
-struct SlowEntrant {
-    saw_cancel: AtomicBool,
-}
-
-impl RefinementSolver for SlowEntrant {
-    fn label(&self, _request: &RefinementRequest) -> String {
-        "slow-entrant".to_string()
-    }
-
-    fn solve(
-        &self,
-        _session: &RefinementSession,
-        request: &RefinementRequest,
-    ) -> query_refinement::core::Result<RefinementResult> {
-        let stop = request.control.stop_condition(Instant::now(), None);
-        let mut progress_nodes = 0usize;
-        while !stop.should_stop() {
-            progress_nodes += 1;
-            if let Some(observer) = request.control.observer() {
-                observer.node_processed(&SolveProgress {
-                    nodes: progress_nodes,
-                    lp_solves: 0,
-                    simplex_iterations: 0,
-                    incumbent_objective: None,
-                    best_bound: f64::NEG_INFINITY,
-                });
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        self.saw_cancel.store(true, Ordering::Release);
-        Ok(RefinementResult {
-            outcome: RefinementOutcome::Interrupted { best: None },
-            stats: RefinementStats {
-                interrupted: true,
-                ..Default::default()
-            },
-            resume: None,
-        })
-    }
-}
-
-/// Counts progress events, proving the slow entrant was running when the
-/// winner tripped the shared token.
-#[derive(Default)]
-struct EventCounter {
-    nodes_seen: AtomicUsize,
-}
-
-impl SolveObserver for EventCounter {
-    fn node_processed(&self, _progress: &SolveProgress) {
-        self.nodes_seen.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-#[test]
-fn portfolio_returns_first_acceptable_answer_and_cancels_losers() {
-    let session = session();
-    let observer = Arc::new(EventCounter::default());
-    let request = base_request()
-        .with_epsilon(0.0)
-        .with_observer(Arc::clone(&observer) as Arc<dyn SolveObserver>);
-
-    let slow = SlowEntrant {
-        saw_cancel: AtomicBool::new(false),
-    };
-    let entrants: [(PortfolioBackend, &dyn RefinementSolver); 2] = [
-        // The real MILP engine: terminates with a proven optimum.
-        (PortfolioBackend::Milp, &MilpSolver),
-        // The blocker: would spin forever if the winner's cancellation
-        // never propagated.
-        (PortfolioBackend::Erica, &slow),
-    ];
-    let race = session
-        .solve_portfolio_with(&entrants, &request)
-        .expect("race completes");
-
-    // The first acceptable answer won and is the returned result.
-    assert_eq!(race.winner, Some(PortfolioBackend::Milp));
-    assert_eq!(
-        race.result.stats.portfolio_winner,
-        Some(PortfolioBackend::Milp)
-    );
-    assert_eq!(race.result.stats.portfolio_races, 1);
-    let refined = race.result.outcome.refined().expect("a refinement");
-    assert!(refined.proven_optimal);
-    assert!((refined.distance - 0.5).abs() <= TOL);
-
-    // Observer-verified cancellation: the loser was genuinely mid-flight
-    // (its progress events reached the request's observer) and the shared
-    // token interrupted it.
-    assert!(
-        observer.nodes_seen.load(Ordering::Relaxed) >= 1,
-        "the slow entrant must have streamed progress before cancellation"
-    );
-    assert!(
-        slow.saw_cancel.load(Ordering::Acquire),
-        "the winner's cancellation must reach the losing entrant"
-    );
-    let loser = race
-        .entries
-        .iter()
-        .find(|e| e.backend == PortfolioBackend::Erica)
-        .expect("loser entry present");
-    let loser_result = loser.result.as_ref().expect("loser returned a result");
-    assert!(
-        loser_result.outcome.is_interrupted(),
-        "the loser must report the interruption"
-    );
-    assert!(loser_result.stats.interrupted);
-}
-
-/// The default three-backend portfolio agrees with the plain MILP path on
-/// the paper example — whoever wins, the answer is the proven optimum.
-#[test]
-fn default_portfolio_agrees_with_direct_solve() {
-    let s = session();
-    let request = base_request().with_epsilon(0.0);
-    let direct = s.solve(&request).expect("direct solve");
-    let raced = s.solve_portfolio(&request).expect("portfolio solve");
-    assert_result_identical(&direct, &raced, "portfolio vs direct");
-    assert_eq!(raced.stats.portfolio_races, 1);
 }

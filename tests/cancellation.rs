@@ -19,10 +19,10 @@ fn fig3_session_and_request() -> (RefinementSession, RefinementRequest) {
         .with_constraints(constraints)
         .with_epsilon(0.5)
         .with_solver_options(SolverOptions {
-            time_limit: Some(Duration::from_secs(120)),
             max_nodes: 1_000_000,
             ..SolverOptions::default()
-        });
+        })
+        .with_time_limit(Duration::from_secs(120));
     (session, request)
 }
 

@@ -5,7 +5,7 @@
 //! Instances are kept deliberately small so the suite stays fast in debug
 //! builds; the full-size runs live in `qr-bench`.
 
-use query_refinement::core::erica_refine_with;
+use query_refinement::core::erica_refine_prepared;
 use query_refinement::core::prelude::*;
 use query_refinement::datagen::{DatasetId, Workload};
 use query_refinement::milp::SolverOptions;
@@ -30,11 +30,13 @@ fn session_for(w: &Workload) -> RefinementSession {
 /// properties of whatever incumbent the budget yields, not optimality.
 fn bounded_solver_options() -> SolverOptions {
     SolverOptions {
-        time_limit: Some(Duration::from_secs(10)),
         max_nodes: 20_000,
         ..SolverOptions::default()
     }
 }
+
+/// The wall-clock half of the bounded budget.
+const TIME_LIMIT: Duration = Duration::from_secs(10);
 
 fn tiny_constraints(w: &Workload) -> ConstraintSet {
     ConstraintSet::new().with(w.constraint_with_bound(1, 5, Some(2)))
@@ -80,7 +82,8 @@ fn refinements_respect_the_deviation_budget_on_all_datasets() {
                     .with_constraints(constraints)
                     .with_epsilon(0.5)
                     .with_distance(DistanceMeasure::Predicate)
-                    .with_solver_options(bounded_solver_options()),
+                    .with_solver_options(bounded_solver_options())
+                    .with_time_limit(TIME_LIMIT),
             )
             .unwrap();
         if let Some(refined) = result.outcome.refined() {
@@ -137,12 +140,19 @@ fn erica_baseline_respects_exact_output_size() {
         bound: BoundType::Lower,
         n: 3,
     }];
-    let erica =
-        erica_refine_with(&w.db, &w.query, &constraints, 8, bounded_solver_options()).unwrap();
+    let session = session_for(&w);
+    let snapshot = session.snapshot();
+    let erica = erica_refine_prepared(
+        snapshot.annotated(),
+        &constraints,
+        8,
+        bounded_solver_options(),
+        &SolveControl::new().with_time_limit(TIME_LIMIT),
+    )
+    .unwrap();
     if let Some((assignment, _)) = erica.best {
-        let session = session_for(&w);
         let output = query_refinement::provenance::whatif::evaluate_refinement(
-            session.snapshot().annotated(),
+            snapshot.annotated(),
             &assignment,
         );
         assert_eq!(output.len(), 8);
@@ -159,12 +169,12 @@ fn erica_solver_trait_agrees_with_direct_entry_point() {
     let k = 5;
     let request = RefinementRequest::new()
         .with_constraint(w.constraint_with_bound(1, k, Some(2)))
-        .with_solver_options(bounded_solver_options());
+        .with_solver_options(bounded_solver_options())
+        .with_time_limit(TIME_LIMIT);
     let via_trait = session.solve_with(&EricaSolver, &request).unwrap();
     let constraint = &request.constraints.constraints()[0];
-    let direct = erica_refine_with(
-        &w.db,
-        &w.query,
+    let direct = erica_refine_prepared(
+        session.snapshot().annotated(),
         &[OutputConstraint {
             group: constraint.group.clone(),
             bound: constraint.bound,
@@ -172,6 +182,7 @@ fn erica_solver_trait_agrees_with_direct_entry_point() {
         }],
         k,
         bounded_solver_options(),
+        &request.control,
     )
     .unwrap();
     match (via_trait.outcome.refined(), &direct.best) {

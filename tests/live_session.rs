@@ -44,10 +44,10 @@ fn mid_flight_mutation_does_not_change_a_pinned_solve() {
         .with_constraints(constraints)
         .with_epsilon(0.5)
         .with_solver_options(SolverOptions {
-            time_limit: Some(Duration::from_secs(120)),
             max_nodes: 1_000_000,
             ..SolverOptions::default()
-        });
+        })
+        .with_time_limit(Duration::from_secs(120));
 
     // Deterministic reference answer against version 1.
     let pinned = session.snapshot();

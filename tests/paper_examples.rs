@@ -5,7 +5,7 @@ use query_refinement::core::paper_example::{
     paper_database, scholarship_constraints, scholarship_query,
 };
 use query_refinement::core::prelude::*;
-use query_refinement::core::{exact_distance, DistanceMeasure as DM};
+use query_refinement::core::{exact_distance, naive_search_prepared, DistanceMeasure as DM};
 use query_refinement::provenance::{
     whatif::evaluate_refinement, AnnotatedRelation, PredicateAssignment,
 };
@@ -151,9 +151,10 @@ fn theorem_2_5_instance_has_no_exact_refinement() {
         .build()
         .unwrap();
     // Exhaustively verify that no refinement reaches 2 B-tuples in the top-3.
-    let naive = naive_search(
+    let annotated = AnnotatedRelation::build(&db, &query).unwrap();
+    let naive = naive_search_prepared(
         &db,
-        &query,
+        &annotated,
         &ConstraintSet::new().with(CardinalityConstraint::at_least(
             Group::single("X", "B"),
             3,
@@ -162,6 +163,7 @@ fn theorem_2_5_instance_has_no_exact_refinement() {
         0.0,
         DistanceMeasure::Predicate,
         &NaiveOptions::default(),
+        &SolveControl::default(),
     )
     .unwrap();
     assert!(naive.exhausted);

@@ -29,10 +29,10 @@ fn fig3_request(epsilon: f64, bound: usize, distance: DistanceMeasure) -> Refine
         .with_epsilon(epsilon)
         .with_distance(distance)
         .with_solver_options(SolverOptions {
-            time_limit: Some(Duration::from_secs(60)),
             max_nodes: 20_000,
             ..SolverOptions::default()
         })
+        .with_time_limit(Duration::from_secs(60))
 }
 
 proptest! {

@@ -50,11 +50,8 @@ const SOLVE_PATH_FILES: &[&str] = &[
     "crates/milp/src/resume.rs",
     "crates/core/src/naive.rs",
     "crates/core/src/erica.rs",
-    // The cache sits inside every cache-enabled solve; the portfolio's
-    // watcher loop is the only thing standing between a caller's deadline
-    // and a race of entrants that would otherwise run to completion.
+    // The cache sits inside every cache-enabled solve.
     "crates/core/src/cache.rs",
-    "crates/core/src/portfolio.rs",
     // The server's accept/connection/worker loops sit upstream of every
     // solve: a loop here that never polls shutdown would turn graceful
     // drain into a hang.
@@ -469,18 +466,15 @@ mod tests {
     }
 
     #[test]
-    fn cancel_poll_covers_the_cache_and_portfolio_path() {
-        // The solution cache and the portfolio racer are solve-path: an
-        // unpolled loop in either is a violation...
-        for file in ["crates/core/src/cache.rs", "crates/core/src/portfolio.rs"] {
-            let v = lint_file(file, "fn f() { loop { evict(); } }\n");
-            assert_eq!(rules_of(&v), vec!["cancel-poll"], "{file}");
-        }
-        // ...and the watcher's mirror loop, which polls the caller's stop
-        // condition, is not.
+    fn cancel_poll_covers_the_cache_path() {
+        // The solution cache is solve-path: an unpolled loop in it is a
+        // violation...
+        let v = lint_file("crates/core/src/cache.rs", "fn f() { loop { evict(); } }\n");
+        assert_eq!(rules_of(&v), vec!["cancel-poll"]);
+        // ...and a loop that polls the caller's stop condition is not.
         let polled =
             "fn f(s: &S, t: &T) { while running() { if s.should_stop() { t.cancel(); return; } } }\n";
-        assert!(lint_file("crates/core/src/portfolio.rs", polled).is_empty());
+        assert!(lint_file("crates/core/src/cache.rs", polled).is_empty());
     }
 
     #[test]

@@ -131,16 +131,6 @@ impl Metrics {
             ("cache_hits", Json::count(agg.cache_hits)),
             ("cache_misses", Json::count(agg.cache_misses)),
             ("cache_warm_starts", Json::count(agg.cache_warm_starts)),
-            ("portfolio_races", Json::count(agg.portfolio_races)),
-            ("portfolio_wins_milp", Json::count(agg.portfolio_wins_milp)),
-            (
-                "portfolio_wins_naive",
-                Json::count(agg.portfolio_wins_naive),
-            ),
-            (
-                "portfolio_wins_erica",
-                Json::count(agg.portfolio_wins_erica),
-            ),
             (
                 "candidates_evaluated",
                 Json::count(agg.candidates_evaluated),
@@ -171,18 +161,24 @@ impl Metrics {
 mod tests {
     use super::*;
 
+    /// The exact key list of an object block, in render order.
+    fn keys(block: &Json) -> Vec<&str> {
+        match block {
+            Json::Obj(pairs) => pairs.iter().map(|(k, _)| k.as_str()).collect(),
+            other => panic!("expected an object block, got {other:?}"),
+        }
+    }
+
     #[test]
     fn renders_every_counter_as_valid_json() {
         let m = Metrics::new();
         m.accepted.store(3, Ordering::Relaxed);
         m.shed.store(1, Ordering::Relaxed);
         Metrics::add_latency(&m.solve_us, Duration::from_millis(5));
-        // One cache-hit solve and one portfolio win, so the reuse counters
-        // are exercised end to end, not just present.
+        // One cache-hit solve, so the reuse counters are exercised end to
+        // end, not just present.
         let solved = RefinementStats {
             cache_hits: 1,
-            portfolio_races: 1,
-            portfolio_winner: Some(qr_core::PortfolioBackend::NaiveProvenance),
             ..Default::default()
         };
         m.record_stats(&solved);
@@ -202,41 +198,100 @@ mod tests {
             },
         );
         let v = Json::parse(&rendered).expect("valid JSON");
+        assert_eq!(
+            keys(&v),
+            ["id", "ok", "server", "latency", "pool", "resume", "solver"]
+        );
         assert_eq!(v.get("id").and_then(Json::as_str), Some("m1"));
+
+        // Each block's key set is pinned exactly: scrapers (the benchmark's
+        // serve workload among them) read a missing key as 0, so a rename
+        // must fail here instead of silently zeroing a metric downstream.
         let server = v.get("server").expect("server block");
+        assert_eq!(
+            keys(server),
+            [
+                "accepted",
+                "shed",
+                "cancelled",
+                "timed_out",
+                "completed",
+                "bad_requests",
+                "resume_ops",
+                "internal_errors",
+                "read_timeouts",
+                "connections",
+                "queue_depth",
+            ]
+        );
         assert_eq!(server.get("accepted").and_then(Json::as_u64), Some(3));
         assert_eq!(server.get("shed").and_then(Json::as_u64), Some(1));
         let latency = v.get("latency").expect("latency block");
+        assert_eq!(keys(latency), ["queue_wait_ms", "solve_ms", "session_ms"]);
         assert_eq!(latency.get("solve_ms").and_then(Json::as_f64), Some(5.0));
         let pool = v.get("pool").expect("pool block");
+        assert_eq!(
+            keys(pool),
+            ["resident_sessions", "session_builds", "session_evictions"]
+        );
         assert_eq!(
             pool.get("session_evictions").and_then(Json::as_u64),
             Some(2)
         );
         let resume = v.get("resume").expect("resume block");
+        assert_eq!(
+            keys(resume),
+            [
+                "resident_checkpoints",
+                "tokens_issued",
+                "tokens_redeemed",
+                "tokens_expired",
+                "tokens_evicted",
+            ]
+        );
         assert_eq!(resume.get("tokens_issued").and_then(Json::as_u64), Some(3));
         assert_eq!(
             resume.get("resident_checkpoints").and_then(Json::as_u64),
             Some(1)
         );
         let solver = v.get("solver").expect("solver block");
-        assert!(solver.get("solves").is_some());
-        assert!(solver.get("resumed_solves").is_some());
-        assert!(solver.get("nodes_restored").is_some());
-        assert!(solver.get("resume_captures").is_some());
+        assert_eq!(
+            keys(solver),
+            [
+                "solves",
+                "interrupted",
+                "annotation_ms",
+                "model_build_ms",
+                "solver_ms",
+                "total_ms",
+                "nodes",
+                "lp_solves",
+                "simplex_iterations",
+                "warm_lp_solves",
+                "cold_lp_solves",
+                "refactorizations",
+                "eta_updates",
+                "resumed_solves",
+                "nodes_restored",
+                "resume_captures",
+                "cache_hits",
+                "cache_misses",
+                "cache_warm_starts",
+                "candidates_evaluated",
+                "max_variables",
+                "max_constraints",
+                "max_scope",
+                "max_lu_nnz",
+                "max_matrix_nnz",
+            ]
+        );
+        assert_eq!(solver.get("solves").and_then(Json::as_u64), Some(1));
         assert_eq!(solver.get("cache_hits").and_then(Json::as_u64), Some(1));
         assert_eq!(solver.get("cache_misses").and_then(Json::as_u64), Some(0));
-        assert!(solver.get("cache_warm_starts").is_some());
         assert_eq!(
-            solver.get("portfolio_races").and_then(Json::as_u64),
-            Some(1)
+            solver.get("cache_warm_starts").and_then(Json::as_u64),
+            Some(0)
         );
-        assert_eq!(
-            solver.get("portfolio_wins_naive").and_then(Json::as_u64),
-            Some(1)
-        );
-        assert!(solver.get("portfolio_wins_milp").is_some());
-        assert!(solver.get("portfolio_wins_erica").is_some());
     }
 
     #[test]

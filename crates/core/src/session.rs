@@ -629,8 +629,9 @@ pub struct RefinementRequest {
     pub distance: DistanceMeasure,
     /// Which Section 4 optimizations to apply when building the MILP.
     pub optimizations: OptimizationConfig,
-    /// MILP solver budget (node limit, LP iteration limit, ...). The
-    /// wall-clock limit is the [`control`](Self::control) deadline.
+    /// MILP search options: the node limit and the propagation, rounding
+    /// and warm-start switches. The per-LP pivot cap is a solver constant,
+    /// and the wall-clock limit is the [`control`](Self::control) deadline.
     pub solver_options: SolverOptions,
     /// Execution control: cooperative cancellation, the unified deadline
     /// honored by *every* backend (MILP, Naive, Erica), and an optional
@@ -694,7 +695,7 @@ impl RefinementRequest {
         self
     }
 
-    /// Override the MILP solver options (node limit, LP iteration limit, ...).
+    /// Override the MILP search options (node limit, ablation switches).
     #[must_use]
     pub fn with_solver_options(mut self, options: SolverOptions) -> Self {
         self.solver_options = options;

@@ -31,8 +31,18 @@ use crate::propagate::{box_objective_bound, propagate, PropagationResult};
 use crate::resume::{model_fingerprint, FrontierNode as Node, ResumeState};
 use crate::simplex::{LpSolution, LpStatus, LpWorkspace};
 use crate::solution::{Solution, SolveStats, SolveStatus};
+use crate::tol::{ABSOLUTE_GAP, INTEGRALITY_TOL};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Maximum number of bound-propagation sweeps per node (and per dive tier).
+const PROPAGATION_PASSES: usize = 12;
+
+/// Pivot cap for each LP solve. An LP that reaches it is unreliable: the
+/// search falls back to the box bound and midpoint branching for that node,
+/// and a solve that has to drop such a node ends `Feasible` or
+/// `LimitReached` instead of claiming a proven answer.
+const MAX_LP_ITERATIONS: usize = 50_000;
 
 /// Tunable solver parameters.
 #[derive(Debug, Clone)]
@@ -41,14 +51,6 @@ pub struct SolverOptions {
     /// the solve `Feasible` or `LimitReached`; wall-clock limits belong to
     /// the [`SolveControl`] instead.
     pub max_nodes: usize,
-    /// Tolerance for considering an LP value integral.
-    pub integrality_tol: f64,
-    /// Iteration cap for each LP solve.
-    pub max_lp_iterations: usize,
-    /// Maximum number of propagation sweeps per node.
-    pub propagation_passes: usize,
-    /// Prune nodes whose bound is within this absolute gap of the incumbent.
-    pub absolute_gap: f64,
     /// Enable bound propagation at every node (disable only for ablation).
     pub use_propagation: bool,
     /// Run a rounding heuristic at the root to seed the incumbent.
@@ -62,10 +64,6 @@ impl Default for SolverOptions {
     fn default() -> Self {
         SolverOptions {
             max_nodes: 200_000,
-            integrality_tol: crate::tol::INTEGRALITY_TOL,
-            max_lp_iterations: 50_000,
-            propagation_passes: 12,
-            absolute_gap: crate::tol::ABSOLUTE_GAP,
             use_propagation: true,
             use_rounding_heuristic: true,
             use_warm_start: true,
@@ -389,18 +387,13 @@ impl Solver {
                 }
             }
             if let Some(candidate) = &warm.incumbent {
-                if let Some(objective) =
-                    validated_incumbent_objective(model, candidate, opts.integrality_tol)
-                {
+                if let Some(objective) = validated_incumbent_objective(model, candidate) {
                     let better = incumbent
                         .as_ref()
                         .map(|(o, _)| objective < *o)
                         .unwrap_or(true);
                     if better {
-                        incumbent = Some((
-                            objective,
-                            round_integers(candidate, &integer_vars, opts.integrality_tol),
-                        ));
+                        incumbent = Some((objective, round_integers(candidate, &integer_vars)));
                     }
                 }
             }
@@ -434,14 +427,14 @@ impl Solver {
             'processed: {
                 // Prune against the incumbent using the parent's bound.
                 if let Some((inc_obj, _)) = &incumbent {
-                    if parent_bound >= inc_obj - opts.absolute_gap {
+                    if parent_bound >= inc_obj - ABSOLUTE_GAP {
                         break 'processed;
                     }
                 }
 
                 // Node presolve: bound propagation.
                 if opts.use_propagation {
-                    match propagate(model, &mut lower, &mut upper, opts.propagation_passes) {
+                    match propagate(model, &mut lower, &mut upper, PROPAGATION_PASSES) {
                         PropagationResult::Infeasible => break 'processed,
                         PropagationResult::Consistent => {}
                     }
@@ -450,7 +443,7 @@ impl Solver {
                 // Cheap box bound before paying for an LP.
                 if let Some((inc_obj, _)) = &incumbent {
                     let box_bound = box_objective_bound(model, &lower, &upper);
-                    if box_bound >= inc_obj - opts.absolute_gap {
+                    if box_bound >= inc_obj - ABSOLUTE_GAP {
                         break 'processed;
                     }
                 }
@@ -461,15 +454,7 @@ impl Solver {
                 } else {
                     None
                 };
-                let lp = solve_node_lp(
-                    &mut workspace,
-                    &lower,
-                    &upper,
-                    warm,
-                    opts,
-                    &lp_stop,
-                    &mut stats,
-                )?;
+                let lp = solve_node_lp(&mut workspace, &lower, &upper, warm, &lp_stop, &mut stats)?;
                 // A control stop that fires *inside* this node's LP surfaces as
                 // an iteration-limited LP. Re-pushing the node (propagated
                 // bounds, original parent basis) instead of branching it on
@@ -534,20 +519,14 @@ impl Solver {
                 }
 
                 if let Some((inc_obj, _)) = &incumbent {
-                    if node_bound >= inc_obj - opts.absolute_gap {
+                    if node_bound >= inc_obj - ABSOLUTE_GAP {
                         break 'processed;
                     }
                 }
 
                 // Find a fractional integer variable to branch on.
-                let branch_var = select_branch_variable(
-                    model,
-                    &integer_vars,
-                    &lp_values,
-                    &lower,
-                    &upper,
-                    opts.integrality_tol,
-                );
+                let branch_var =
+                    select_branch_variable(model, &integer_vars, &lp_values, &lower, &upper);
 
                 match branch_var {
                     None => {
@@ -564,10 +543,7 @@ impl Solver {
                         let obj = node_bound;
                         let better = incumbent.as_ref().map(|(o, _)| obj < *o).unwrap_or(true);
                         if better {
-                            incumbent = Some((
-                                obj,
-                                round_integers(&lp_values, &integer_vars, opts.integrality_tol),
-                            ));
+                            incumbent = Some((obj, round_integers(&lp_values, &integer_vars)));
                             // The workspace still holds this leaf's optimal
                             // basis — snapshot it for the caller (cache seed).
                             incumbent_basis =
@@ -814,7 +790,7 @@ impl Solver {
         for (tier_idx, tier) in priority_tiers.iter().enumerate() {
             fix_rounded(tier, &values, &mut lo, &mut up);
             if opts.use_propagation
-                && propagate(model, &mut lo, &mut up, opts.propagation_passes)
+                && propagate(model, &mut lo, &mut up, PROPAGATION_PASSES)
                     == PropagationResult::Infeasible
             {
                 return Ok(None);
@@ -824,7 +800,7 @@ impl Solver {
             let remaining_fractional = priority_tiers[tier_idx + 1..]
                 .iter()
                 .flatten()
-                .any(|&i| (values[i] - values[i].round()).abs() > opts.integrality_tol);
+                .any(|&i| (values[i] - values[i].round()).abs() > INTEGRALITY_TOL);
             if !remaining_fractional && tier_idx + 1 < priority_tiers.len() {
                 fix_rounded(
                     &priority_tiers[tier_idx + 1..].concat(),
@@ -833,13 +809,13 @@ impl Solver {
                     &mut up,
                 );
                 if opts.use_propagation
-                    && propagate(model, &mut lo, &mut up, opts.propagation_passes)
+                    && propagate(model, &mut lo, &mut up, PROPAGATION_PASSES)
                         == PropagationResult::Infeasible
                 {
                     return Ok(None);
                 }
             }
-            let lp = solve_node_lp(workspace, &lo, &up, basis.as_ref(), opts, stop, stats)?;
+            let lp = solve_node_lp(workspace, &lo, &up, basis.as_ref(), stop, stats)?;
             if lp.status != LpStatus::Optimal {
                 return Ok(None);
             }
@@ -862,10 +838,7 @@ impl Solver {
                 .terms()
                 .map(|(v, c)| c * values[v.index()])
                 .sum::<f64>();
-        Ok(Some((
-            objective,
-            round_integers(&values, integer_vars, opts.integrality_tol),
-        )))
+        Ok(Some((objective, round_integers(&values, integer_vars))))
     }
 }
 
@@ -876,11 +849,10 @@ fn solve_node_lp(
     lower: &[f64],
     upper: &[f64],
     warm: Option<&Basis>,
-    opts: &SolverOptions,
     stop: &StopCondition,
     stats: &mut SolveStats,
 ) -> Result<LpSolution> {
-    let lp = workspace.solve(lower, upper, warm, opts.max_lp_iterations, stop)?;
+    let lp = workspace.solve(lower, upper, warm, MAX_LP_ITERATIONS, stop)?;
     // Exhaustive destructuring: a new `LpSolution` stat cannot be added
     // without deciding how it aggregates into `SolveStats` here.
     let LpSolution {
@@ -911,11 +883,7 @@ fn solve_node_lp(
 /// satisfying every constraint row. Returns the assignment's objective when
 /// it passes, `None` otherwise — a cached assignment that a changed ε or
 /// constraint set makes infeasible must be discarded, not trusted to prune.
-fn validated_incumbent_objective(
-    model: &Model,
-    values: &[f64],
-    integrality_tol: f64,
-) -> Option<f64> {
+fn validated_incumbent_objective(model: &Model, values: &[f64]) -> Option<f64> {
     if values.len() != model.num_variables() {
         return None;
     }
@@ -927,7 +895,7 @@ fn validated_incumbent_objective(
             return None;
         }
         if matches!(variable.var_type, VarType::Integer | VarType::Binary)
-            && (value - value.round()).abs() > integrality_tol
+            && (value - value.round()).abs() > INTEGRALITY_TOL
         {
             return None;
         }
@@ -983,14 +951,13 @@ fn fix_rounded(vars: &[usize], values: &[f64], lo: &mut [f64], up: &mut [f64]) {
 
 /// Choose the integer variable to branch on: highest branching priority,
 /// ties broken by most-fractional LP value. Returns `None` when every integer
-/// variable is integral (within tolerance).
+/// variable is integral (within [`INTEGRALITY_TOL`]).
 fn select_branch_variable(
     model: &Model,
     integer_vars: &[usize],
     lp_values: &[f64],
     lower: &[f64],
     upper: &[f64],
-    tol: f64,
 ) -> Option<(usize, f64)> {
     let mut best: Option<(i32, f64, usize, f64)> = None; // (priority, fractionality, idx, value)
     for &idx in integer_vars {
@@ -999,7 +966,7 @@ fn select_branch_variable(
         }
         let value = lp_values[idx];
         let frac = (value - value.round()).abs();
-        if frac <= tol {
+        if frac <= INTEGRALITY_TOL {
             continue;
         }
         let priority = model.variables()[idx].branch_priority;
@@ -1017,11 +984,11 @@ fn select_branch_variable(
 }
 
 /// Snap integer variables to exact integers in a value vector.
-fn round_integers(values: &[f64], integer_vars: &[usize], tol: f64) -> Vec<f64> {
+fn round_integers(values: &[f64], integer_vars: &[usize]) -> Vec<f64> {
     let mut out = values.to_vec();
     for &idx in integer_vars {
         let rounded = out[idx].round();
-        if (out[idx] - rounded).abs() <= tol * 10.0 {
+        if (out[idx] - rounded).abs() <= INTEGRALITY_TOL * 10.0 {
             out[idx] = rounded;
         }
     }

@@ -2,8 +2,9 @@
 //! unified deadlines, and progress observation.
 //!
 //! A MILP solve can run for minutes; a service answering many refinement
-//! requests needs three things the [`SolverOptions`] search budget (a node
-//! limit and a per-LP iteration limit) does not give it:
+//! requests needs three things the search's own limits (the
+//! [`SolverOptions::max_nodes`] node limit and a fixed per-LP pivot cap) do
+//! not give it:
 //!
 //! * **Cancellation** — a [`CancelToken`] shared with other threads. The
 //!   branch-and-bound node loop and the simplex pivot loops poll it
@@ -13,9 +14,9 @@
 //! * **A deadline** — one wall-clock budget ([`SolveControl::with_time_limit`])
 //!   or absolute cut-off ([`SolveControl::with_deadline`]) honored by *every*
 //!   backend the same way. It is the only wall-clock limit: exceeding it
-//!   yields [`SolveStatus::Interrupted`]. Only the node limit and the
-//!   LP-iteration limit of [`SolverOptions`] end a solve `Feasible` or
-//!   `LimitReached`.
+//!   yields [`SolveStatus::Interrupted`]. Only the node limit, and an LP
+//!   the search had to drop as unreliable (pivot cap reached, numerical
+//!   trouble), end a solve `Feasible` or `LimitReached`.
 //! * **Progress** — a [`SolveObserver`] receiving incumbent / node / bound
 //!   events from the branch-and-bound loop, enabling anytime and streaming
 //!   consumption of a running solve (including cancelling it from inside a
@@ -39,7 +40,7 @@
 //! assert_eq!(solution.status, SolveStatus::Optimal); // finished before any cancel
 //! ```
 //!
-//! [`SolverOptions`]: crate::branch_bound::SolverOptions
+//! [`SolverOptions::max_nodes`]: crate::branch_bound::SolverOptions::max_nodes
 //! [`SolveStatus::Interrupted`]: crate::solution::SolveStatus::Interrupted
 
 use std::fmt;

@@ -15,29 +15,16 @@
 //! FTRAN, reversed and transposed for BTRAN), so a pivot costs `O(nnz(α))`
 //! bookkeeping instead of the dense tableau's `O(m·n)` elimination.
 //!
-//! Instead of the old fixed "refactorize every 64 warm reuses" cadence, the
-//! eta file refactorizes on a **stability/size trigger**
-//! ([`EtaUpdate::Refactor`]): a too-small pivot in `α`, too many etas, or an
-//! eta file outgrowing the LU factors all force a fresh Markowitz
-//! factorization — which is `O(nnz)` on these bases, cheap enough to treat
-//! as a first-class operation rather than a last resort.
-//!
-//! **Adaptive dense kernel.** Bases with at most
-//! [`DENSE_KERNEL_MAX_ROWS`] rows skip the
-//! sparse machinery entirely: [`BasisFactorization::refactorize`] builds a
-//! dense explicit inverse `B⁻¹` by Gauss–Jordan elimination with partial
-//! pivoting, FTRAN/BTRAN become `O(m²)` mat-vecs, and a pivot updates the
-//! inverse in place by left-multiplying with `E⁻¹` (scale row `r`, eliminate
-//! into the others). On micro instances the sparse path's pointer chasing
-//! dominates its asymptotic advantage (~130 µs dense vs ~235 µs sparse-warm
-//! per solve on TPC-H tiny); the mode is chosen per `refactorize` from the
-//! matrix row count, so callers — the simplex, the branch-and-bound driver,
-//! the cross-request cache replaying tiny models — never opt in explicitly.
+//! The eta file refactorizes on a **stability/size trigger**
+//! ([`EtaUpdate::Refactor`]): a too-small pivot in `α` (absolutely, or
+//! relative to the largest entry of `α`), a full eta file (`MAX_ETAS` etas),
+//! or an eta file holding more than `ETA_FILL_FACTOR` times the LU factors'
+//! nonzeros all force a fresh Markowitz factorization — which is `O(nnz)` on
+//! these bases, cheap enough to treat as a first-class operation rather than
+//! a last resort. Every basis, whatever its size, runs this one kernel.
 
 use crate::lu::{LuFactors, LuScratch};
-use crate::tol::{
-    DENSE_KERNEL_MAX_ROWS, ETA_DROP_TOL, ETA_PIVOT_TOL, ETA_REL_PIVOT_TOL, LU_ABS_PIVOT_TOL,
-};
+use crate::tol::{ETA_DROP_TOL, ETA_PIVOT_TOL, ETA_REL_PIVOT_TOL};
 
 /// Maximum number of eta matrices chained on one factorization.
 const MAX_ETAS: usize = 48;
@@ -175,8 +162,9 @@ struct Eta {
 pub enum EtaUpdate {
     /// The eta was appended; the factorization tracks the new basis.
     Applied,
-    /// The update was refused (unstable pivot) or the eta file is full: the
-    /// caller must refactorize from the matrix before the next solve.
+    /// The update was refused (unstable pivot), or the eta file is full or
+    /// has outgrown the LU factors: the caller must refactorize from the
+    /// matrix before the next solve.
     Refactor,
 }
 
@@ -191,19 +179,6 @@ pub struct BasisFactorization {
     /// Entry buffers of retired etas, recycled by [`Self::update`] so the
     /// pivot hot path performs no steady-state allocation.
     spare_entries: Vec<Vec<(usize, f64)>>,
-    /// Dense explicit inverse, row-major `[slot * m + row]`; non-empty
-    /// exactly when the dense kernel is active ([`Self::is_dense`]).
-    dense_inv: Vec<f64>,
-    /// Dimension of the dense inverse (0 ⇒ sparse mode).
-    dense_dim: usize,
-    /// In-place inverse updates applied since the last dense refactorization
-    /// (the dense analogue of the eta-file length, and subject to the same
-    /// [`MAX_ETAS`] cap: each update compounds rounding into the inverse).
-    dense_updates: usize,
-    /// Scratch for the Gauss–Jordan work matrix and the FTRAN/BTRAN input
-    /// copy, reused so the dense hot path performs no steady-state
-    /// allocation.
-    dense_scratch: Vec<f64>,
     /// Lifetime counters, read (as deltas) by the solver statistics.
     refactorizations: usize,
     eta_updates: usize,
@@ -211,131 +186,21 @@ pub struct BasisFactorization {
 }
 
 impl BasisFactorization {
-    /// Factorize the basis from scratch. Returns `false` on a singular
-    /// basis (the factorization is then unusable until a successful call).
-    ///
-    /// Picks the kernel from the matrix row count: at most
-    /// [`DENSE_KERNEL_MAX_ROWS`] rows builds a dense explicit inverse,
-    /// anything larger runs the sparse Markowitz LU.
+    /// Factorize the basis from scratch (sparse Markowitz LU; the eta file
+    /// is cleared). Returns `false` on a singular basis (the factorization is
+    /// then unusable until a successful call).
     pub fn refactorize(&mut self, matrix: &SparseMatrix, basis: &[usize]) -> bool {
-        let ok = if matrix.num_rows() <= DENSE_KERNEL_MAX_ROWS {
-            self.refactorize_kernel(matrix, basis, true)
-        } else {
-            self.refactorize_kernel(matrix, basis, false)
-        };
-        if ok {
-            #[cfg(debug_assertions)]
-            self.debug_check_residuals(matrix, basis);
-        }
-        ok
-    }
-
-    /// Shared refactorization body with an explicit kernel choice (tests use
-    /// it to pit both kernels against each other on the same basis).
-    fn refactorize_kernel(&mut self, matrix: &SparseMatrix, basis: &[usize], dense: bool) -> bool {
         self.spare_entries
             .extend(self.etas.drain(..).map(|eta| eta.entries));
         self.eta_nnz = 0;
         self.refactorizations += 1;
-        let ok = if dense {
-            self.refactorize_dense(matrix, basis)
-        } else {
-            self.dense_inv.clear();
-            self.dense_dim = 0;
-            self.lu.factorize(matrix, basis, &mut self.lu_scratch)
-        };
+        let ok = self.lu.factorize(matrix, basis, &mut self.lu_scratch);
         if ok {
-            self.peak_lu_nnz = self.peak_lu_nnz.max(self.factor_nnz());
+            self.peak_lu_nnz = self.peak_lu_nnz.max(self.lu.nnz());
+            #[cfg(debug_assertions)]
+            self.debug_check_residuals(matrix, basis);
         }
         ok
-    }
-
-    /// Build the dense explicit inverse by Gauss–Jordan elimination with
-    /// partial pivoting over `[B | I] → [I | B⁻¹]`. Returns `false` when a
-    /// pivot column has no entry above [`LU_ABS_PIVOT_TOL`] (numerically
-    /// singular basis), leaving the factorization unusable — the same
-    /// contract as the sparse LU.
-    fn refactorize_dense(&mut self, matrix: &SparseMatrix, basis: &[usize]) -> bool {
-        let m = matrix.num_rows();
-        debug_assert_eq!(basis.len(), m);
-        // Work matrix B, row-major `[row * m + slot]`.
-        self.dense_scratch.clear();
-        self.dense_scratch.resize(m * m, 0.0);
-        for (slot, &col) in basis.iter().enumerate() {
-            let (rows, vals) = matrix.column(col);
-            for (&row, &val) in rows.iter().zip(vals) {
-                self.dense_scratch[row * m + slot] = val;
-            }
-        }
-        self.dense_inv.clear();
-        self.dense_inv.resize(m * m, 0.0);
-        for i in 0..m {
-            self.dense_inv[i * m + i] = 1.0;
-        }
-        for col in 0..m {
-            // Partial pivoting: the largest magnitude in the column bounds
-            // element growth, exactly like the sparse LU's pivot policy.
-            let mut pivot_row = col;
-            let mut pivot_mag = self.dense_scratch[col * m + col].abs();
-            for row in col + 1..m {
-                let mag = self.dense_scratch[row * m + col].abs();
-                if mag > pivot_mag {
-                    pivot_row = row;
-                    pivot_mag = mag;
-                }
-            }
-            if pivot_mag < LU_ABS_PIVOT_TOL {
-                self.dense_inv.clear();
-                self.dense_dim = 0;
-                return false;
-            }
-            if pivot_row != col {
-                for k in 0..m {
-                    self.dense_scratch.swap(col * m + k, pivot_row * m + k);
-                    self.dense_inv.swap(col * m + k, pivot_row * m + k);
-                }
-            }
-            let inv_pivot = 1.0 / self.dense_scratch[col * m + col];
-            for k in 0..m {
-                self.dense_scratch[col * m + k] *= inv_pivot;
-                self.dense_inv[col * m + k] *= inv_pivot;
-            }
-            for row in 0..m {
-                if row == col {
-                    continue;
-                }
-                let factor = self.dense_scratch[row * m + col];
-                if factor == 0.0 {
-                    continue;
-                }
-                for k in 0..m {
-                    self.dense_scratch[row * m + k] -= factor * self.dense_scratch[col * m + k];
-                    self.dense_inv[row * m + k] -= factor * self.dense_inv[col * m + k];
-                }
-            }
-        }
-        // The left block is now I, so elimination row `i` is basis slot `i`:
-        // `dense_inv[i * m + j] = (B⁻¹)[slot i][row j]`, the layout FTRAN
-        // and BTRAN expect.
-        self.dense_dim = m;
-        self.dense_updates = 0;
-        true
-    }
-
-    /// Whether the dense explicit-inverse kernel is active (chosen by the
-    /// last [`refactorize`](Self::refactorize) from the matrix row count).
-    pub fn is_dense(&self) -> bool {
-        self.dense_dim != 0
-    }
-
-    /// Nonzeros of the current factor representation: LU fill in sparse
-    /// mode, the full `m²` inverse in dense mode.
-    fn factor_nnz(&self) -> usize {
-        if self.is_dense() {
-            self.dense_dim * self.dense_dim
-        } else {
-            self.lu.nnz()
-        }
     }
 
     /// `debug_assertions`-only self-check run after every successful
@@ -405,9 +270,6 @@ impl BasisFactorization {
     /// [`EtaUpdate::Refactor`] nothing was recorded and the caller must
     /// [`refactorize`](Self::refactorize) with the updated basis.
     pub fn update(&mut self, r: usize, alpha: &[f64]) -> EtaUpdate {
-        if self.is_dense() {
-            return self.update_dense(r, alpha);
-        }
         let pivot = alpha[r];
         if pivot.abs() < ETA_PIVOT_TOL
             || self.etas.len() >= MAX_ETAS
@@ -441,61 +303,9 @@ impl BasisFactorization {
         EtaUpdate::Applied
     }
 
-    /// Dense-mode pivot update: `B_new = B · E` with `E`'s column `r = α`,
-    /// so `B_new⁻¹ = E⁻¹ · B⁻¹` — scale inverse row `r` by `1/α_r`, then
-    /// eliminate `α_i` times it out of every other row. `O(m²)`, same
-    /// stability gates as the sparse eta path.
-    fn update_dense(&mut self, r: usize, alpha: &[f64]) -> EtaUpdate {
-        let m = self.dense_dim;
-        let pivot = alpha[r];
-        if pivot.abs() < ETA_PIVOT_TOL || self.dense_updates >= MAX_ETAS {
-            return EtaUpdate::Refactor;
-        }
-        let max_mag = alpha.iter().fold(pivot.abs(), |acc, v| acc.max(v.abs()));
-        if pivot.abs() < ETA_REL_PIVOT_TOL * max_mag {
-            return EtaUpdate::Refactor;
-        }
-        // Copy the scaled pivot row out first: every other row reads it
-        // while its own slot entry is being overwritten.
-        let inv_pivot = 1.0 / pivot;
-        self.dense_scratch.clear();
-        self.dense_scratch
-            .extend_from_slice(&self.dense_inv[r * m..(r + 1) * m]);
-        for v in &mut self.dense_scratch {
-            *v *= inv_pivot;
-        }
-        self.dense_inv[r * m..(r + 1) * m].copy_from_slice(&self.dense_scratch);
-        for (i, &alpha_i) in alpha.iter().enumerate().take(m) {
-            if i == r || alpha_i == 0.0 {
-                continue;
-            }
-            let row = &mut self.dense_inv[i * m..(i + 1) * m];
-            for (entry, &pivot_entry) in row.iter_mut().zip(&self.dense_scratch) {
-                *entry -= alpha_i * pivot_entry;
-            }
-        }
-        self.dense_updates += 1;
-        self.eta_updates += 1;
-        EtaUpdate::Applied
-    }
-
     /// Solve `B x = b` in place (`b` row-indexed in, solution slot-indexed
     /// out): LU solve, then the etas in application order.
     pub fn ftran(&mut self, x: &mut [f64]) {
-        if self.is_dense() {
-            let m = self.dense_dim;
-            self.dense_scratch.clear();
-            self.dense_scratch.extend_from_slice(&x[..m]);
-            for (slot, out) in x.iter_mut().enumerate().take(m) {
-                let row = &self.dense_inv[slot * m..(slot + 1) * m];
-                *out = row
-                    .iter()
-                    .zip(&self.dense_scratch)
-                    .map(|(inv, b)| inv * b)
-                    .sum();
-            }
-            return;
-        }
         self.lu.ftran(x);
         for eta in &self.etas {
             let xr = x[eta.slot] / eta.pivot;
@@ -511,19 +321,6 @@ impl BasisFactorization {
     /// Solve `Bᵀ y = c` in place (`c` slot-indexed in, solution row-indexed
     /// out): the eta transposes in reverse order, then the LU solve.
     pub fn btran(&mut self, x: &mut [f64]) {
-        if self.is_dense() {
-            let m = self.dense_dim;
-            self.dense_scratch.clear();
-            self.dense_scratch.extend_from_slice(&x[..m]);
-            for (row, out) in x.iter_mut().enumerate().take(m) {
-                let mut acc = 0.0;
-                for (slot, c) in self.dense_scratch.iter().enumerate() {
-                    acc += self.dense_inv[slot * m + row] * c;
-                }
-                *out = acc;
-            }
-            return;
-        }
         for eta in self.etas.iter().rev() {
             let mut acc = x[eta.slot];
             for &(i, v) in &eta.entries {
@@ -534,29 +331,23 @@ impl BasisFactorization {
         self.lu.btran(x);
     }
 
-    /// Number of pivot updates chained on the last refactorization: etas in
-    /// sparse mode, in-place inverse updates in dense mode.
+    /// Number of etas chained on the last refactorization.
     pub fn eta_count(&self) -> usize {
-        if self.is_dense() {
-            self.dense_updates
-        } else {
-            self.etas.len()
-        }
+        self.etas.len()
     }
 
-    /// Nonzeros of the current factor representation (fill-in metric): the
-    /// LU factors in sparse mode, the full `m²` inverse in dense mode.
+    /// Nonzeros of the current LU factors (fill-in metric; the eta file is
+    /// not counted).
     pub fn lu_nnz(&self) -> usize {
-        self.factor_nnz()
+        self.lu.nnz()
     }
 
-    /// Largest factor size seen since the last call to this method
-    /// (resets the tracker to the current size). Lets each solve report its
-    /// own peak fill even when a late refactorization of a sparser basis
-    /// shrank the factors before the solve finished.
+    /// Largest LU size seen since the last call to this method (resets the
+    /// tracker to the current size). Lets each solve report its own peak
+    /// fill even when a late refactorization of a sparser basis shrank the
+    /// factors before the solve finished.
     pub fn take_peak_lu_nnz(&mut self) -> usize {
-        let current = self.factor_nnz();
-        std::mem::replace(&mut self.peak_lu_nnz, current)
+        std::mem::replace(&mut self.peak_lu_nnz, self.lu.nnz())
     }
 
     /// Lifetime refactorization count.
@@ -650,114 +441,86 @@ mod tests {
         let alpha = vec![ZERO_TOL, 5.0];
         assert_eq!(f.update(0, &alpha), EtaUpdate::Refactor);
         assert_eq!(f.eta_count(), 0);
+        // As the largest entry of its column the pivot passes the relative
+        // check, so only the absolute floor refuses it.
+        let alpha = vec![ETA_PIVOT_TOL / 2.0, 0.0];
+        assert_eq!(f.update(0, &alpha), EtaUpdate::Refactor);
+        assert_eq!(f.eta_count(), 0);
     }
 
-    /// An m-row matrix whose columns are the m unit columns followed by one
-    /// dense-ish extra column, so any m slots form a basis candidate.
-    fn identity_plus(m: usize) -> SparseMatrix {
-        let mut columns: Vec<Vec<(usize, f64)>> = (0..m).map(|i| vec![(i, 1.0)]).collect();
-        columns.push((0..m).map(|i| (i, 1.0 + i as f64)).collect());
-        SparseMatrix::from_columns(m, &columns)
-    }
-
-    #[test]
-    fn dense_kernel_activates_exactly_at_threshold() {
-        // Pins the crossover: DENSE_KERNEL_MAX_ROWS rows is the largest
-        // basis the dense explicit inverse handles; one more row must fall
-        // back to the sparse LU. A drive-by change to the constant (or the
-        // comparison direction) fails here, not as a silent perf regression.
-        let at = identity_plus(DENSE_KERNEL_MAX_ROWS);
+    /// The `m × m` identity factorized as a slack basis: its LU holds
+    /// exactly `m` pivots, so the eta-file triggers below fire at known
+    /// counts. Returns the matrix too, for refactorizing after a refusal.
+    fn identity_basis(m: usize) -> (SparseMatrix, BasisFactorization) {
+        let columns: Vec<Vec<(usize, f64)>> = (0..m).map(|i| vec![(i, 1.0)]).collect();
+        let matrix = SparseMatrix::from_columns(m, &columns);
         let mut f = BasisFactorization::default();
-        let basis: Vec<usize> = (0..DENSE_KERNEL_MAX_ROWS).collect();
-        assert!(f.refactorize(&at, &basis));
-        assert!(f.is_dense());
-        assert_eq!(f.lu_nnz(), DENSE_KERNEL_MAX_ROWS * DENSE_KERNEL_MAX_ROWS);
-
-        let above = identity_plus(DENSE_KERNEL_MAX_ROWS + 1);
-        let basis: Vec<usize> = (0..DENSE_KERNEL_MAX_ROWS + 1).collect();
-        assert!(f.refactorize(&above, &basis));
-        assert!(!f.is_dense());
+        assert!(f.refactorize(&matrix, &(0..m).collect::<Vec<_>>()));
+        assert_eq!(f.lu_nnz(), m);
+        (matrix, f)
     }
 
     #[test]
-    fn dense_and_sparse_kernels_agree() {
-        // The kernel choice is a pure representation change: FTRAN, BTRAN
-        // and pivot updates must produce identical results (to rounding)
-        // from either side on the same basis.
-        let m = SparseMatrix::from_columns(
-            3,
-            &[
-                vec![(0, 2.0), (1, 1.0), (2, -1.0)],
-                vec![(0, -1.0), (1, 3.0)],
-                vec![(1, 1.0), (2, 4.0)],
-                vec![(0, 1.0)],
-                vec![(1, 1.0)],
-                vec![(2, 1.0)],
-            ],
-        );
-        let basis = vec![0usize, 1, 2];
-        let mut dense = BasisFactorization::default();
-        let mut sparse = BasisFactorization::default();
-        assert!(dense.refactorize_kernel(&m, &basis, true));
-        assert!(sparse.refactorize_kernel(&m, &basis, false));
-        assert!(dense.is_dense() && !sparse.is_dense());
-
-        let b = [5.0, -2.0, 1.5];
-        let (mut xd, mut xs) = (b, b);
-        dense.ftran(&mut xd);
-        sparse.ftran(&mut xs);
-        for i in 0..3 {
-            assert!((xd[i] - xs[i]).abs() < ASSERT_TIGHT_TOL, "ftran slot {i}");
-        }
-
-        let c = [1.0, 2.0, -3.0];
-        let (mut yd, mut ys) = (c, c);
-        dense.btran(&mut yd);
-        sparse.btran(&mut ys);
-        for i in 0..3 {
-            assert!((yd[i] - ys[i]).abs() < ASSERT_TIGHT_TOL, "btran row {i}");
-        }
-
-        // Pivot column 3 (unit e0) into slot 1 on both sides.
-        let mut alpha_d = [0.0; 3];
-        m.scatter_column(3, 1.0, &mut alpha_d);
-        dense.ftran(&mut alpha_d);
-        let mut alpha_s = [0.0; 3];
-        m.scatter_column(3, 1.0, &mut alpha_s);
-        sparse.ftran(&mut alpha_s);
-        assert_eq!(dense.update(1, &alpha_d), EtaUpdate::Applied);
-        assert_eq!(sparse.update(1, &alpha_s), EtaUpdate::Applied);
-
-        let (mut xd, mut xs) = (b, b);
-        dense.ftran(&mut xd);
-        sparse.ftran(&mut xs);
-        for i in 0..3 {
-            assert!(
-                (xd[i] - xs[i]).abs() < ASSERT_TIGHT_TOL,
-                "post-update ftran slot {i}: {} vs {}",
-                xd[i],
-                xs[i]
-            );
-        }
-        let (mut yd, mut ys) = (c, c);
-        dense.btran(&mut yd);
-        sparse.btran(&mut ys);
-        for i in 0..3 {
-            assert!(
-                (yd[i] - ys[i]).abs() < ASSERT_TIGHT_TOL,
-                "post-update btran row {i}"
-            );
-        }
+    fn small_relative_eta_pivot_requests_refactorization() {
+        // The pivot clears the absolute floor but is tiny next to the rest
+        // of its column: the relative trigger alone refuses the update.
+        let (_, mut f) = identity_basis(2);
+        let pivot = 10.0 * ETA_PIVOT_TOL;
+        let refused = [pivot, 10.0 * pivot / ETA_REL_PIVOT_TOL];
+        assert_eq!(f.update(0, &refused), EtaUpdate::Refactor);
+        assert_eq!(f.eta_count(), 0);
+        // The same pivot beside a smaller off-pivot entry is accepted.
+        let accepted = [pivot, pivot / (10.0 * ETA_REL_PIVOT_TOL)];
+        assert_eq!(f.update(0, &accepted), EtaUpdate::Applied);
+        assert_eq!(f.eta_count(), 1);
     }
 
     #[test]
-    fn dense_kernel_reports_singular_bases() {
-        // Two copies of the same column: numerically singular, must refuse
-        // (the same contract as the sparse LU) and stay unusable.
+    fn eta_file_refactorizes_at_max_etas() {
+        // Unit etas add one nonzero each and never reach the fill trigger
+        // on this basis, so only the length cap refuses the next update.
+        let m = MAX_ETAS;
+        assert!(MAX_ETAS <= ETA_FILL_FACTOR * m);
+        let (matrix, mut f) = identity_basis(m);
+        let unit = |r: usize| {
+            let mut e = vec![0.0; m];
+            e[r] = 1.0;
+            e
+        };
+        for r in 0..MAX_ETAS {
+            assert_eq!(f.update(r, &unit(r)), EtaUpdate::Applied, "eta {r}");
+        }
+        assert_eq!(f.eta_count(), MAX_ETAS);
+        assert_eq!(f.update(0, &unit(0)), EtaUpdate::Refactor);
+        assert_eq!(f.eta_count(), MAX_ETAS);
+        // A refactorization clears the file and updates apply again.
+        assert!(f.refactorize(&matrix, &(0..m).collect::<Vec<_>>()));
+        assert_eq!(f.eta_count(), 0);
+        assert_eq!(f.update(0, &unit(0)), EtaUpdate::Applied);
+    }
+
+    #[test]
+    fn eta_file_refactorizes_when_it_outgrows_the_lu() {
+        // Dense etas store m nonzeros each against an m-nonzero LU: once the
+        // file holds more than ETA_FILL_FACTOR × m nonzeros the next update
+        // is refused, long before the length cap.
+        let m = 8;
+        let (_, mut f) = identity_basis(m);
+        let alpha = vec![1.0; m];
+        let applied = (0..=MAX_ETAS)
+            .take_while(|&r| f.update(r % m, &alpha) == EtaUpdate::Applied)
+            .count();
+        assert_eq!(applied, ETA_FILL_FACTOR + 1);
+        assert!(applied < MAX_ETAS);
+        assert_eq!(f.eta_count(), applied);
+    }
+
+    #[test]
+    fn refactorize_refuses_singular_bases() {
+        // Two copies of the same column: numerically singular, must refuse.
         let column = vec![(0, 1.0), (1, 2.0)];
         let m = SparseMatrix::from_columns(2, &[column.clone(), column]);
         let mut f = BasisFactorization::default();
         assert!(!f.refactorize(&m, &[0, 1]));
-        assert!(!f.is_dense());
     }
 }

@@ -56,7 +56,9 @@ pub enum LpStatus {
     Infeasible,
     /// The objective is unbounded below on the feasible region.
     Unbounded,
-    /// The iteration limit was hit before convergence.
+    /// No reliable answer: the iteration limit (or the caller's stop) was
+    /// hit before convergence, or numerical trouble left neither a verified
+    /// point nor a bound.
     IterationLimit,
 }
 
@@ -274,7 +276,8 @@ impl LpWorkspace {
     /// Solve the LP with the given variable bounds. When `warm` is provided,
     /// the solver first attempts a warm start from that basis (dual simplex
     /// repair of the branched bounds); any warm-path failure falls back to a
-    /// cold two-phase solve transparently.
+    /// cold two-phase solve transparently. Numerical trouble on the cold path
+    /// yields [`LpStatus::IterationLimit`], not an error.
     ///
     /// `stop` aborts the solve with [`LpStatus::IterationLimit`] once it
     /// triggers — a passed deadline or a cancelled
@@ -560,6 +563,15 @@ impl LpWorkspace {
     ) -> Result<LpSolution> {
         self.basis_valid = false;
         let m = self.n_rows;
+        let n_struct = self.n_struct;
+        // An unreliable solve keeps the pivots it spent but reports neither a
+        // point nor a bound; branch-and-bound falls back to the node's box
+        // bound. Numerical trouble in either phase (a basis that turns
+        // singular on refactorization, a vanishing pivot) ends here too, as
+        // an abandoned warm attempt does: it costs this one LP, not the
+        // whole search.
+        let unreliable =
+            |iterations| LpSolution::without_point(LpStatus::IterationLimit, n_struct, iterations);
 
         // (The crash below re-frees the artificials phase 1 needs.)
         self.load_bounds(lower, upper);
@@ -624,27 +636,22 @@ impl LpWorkspace {
         if n_art > 0 {
             // Phase 1: minimise total artificial magnitude (cost is ±1 on
             // the freed artificials, zero elsewhere — already in `cost`).
-            let status1 = self.primal_phase(max_iterations, stop, &mut iterations)?;
+            let status1 = match self.primal_phase(max_iterations, stop, &mut iterations) {
+                Err(MilpError::NumericalTrouble(_)) => return Ok(unreliable(iterations)),
+                status => status?,
+            };
             // Phase 1's objective (total infeasibility) is bounded below by
             // zero, so `Unbounded` can only be numerical noise — treat both
             // non-optimal outcomes as an unreliable solve.
             if status1 != LpStatus::Optimal {
-                return Ok(LpSolution::without_point(
-                    LpStatus::IterationLimit,
-                    self.n_struct,
-                    iterations,
-                ));
+                return Ok(unreliable(iterations));
             }
 
             // Judge feasibility on exact arithmetic: refactorize and
             // recompute the basic values from the pristine matrix, then
             // measure the leftover artificial magnitude.
             if !self.factor.refactorize(&self.matrix, &self.basis) {
-                return Ok(LpSolution::without_point(
-                    LpStatus::IterationLimit,
-                    self.n_struct,
-                    iterations,
-                ));
+                return Ok(unreliable(iterations));
             }
             self.recompute_x_basic();
             let mut phase1_obj = 0.0f64;
@@ -680,7 +687,10 @@ impl LpWorkspace {
 
         // Phase 2: minimise the true objective.
         self.cost.copy_from_slice(&self.objective);
-        let status2 = self.primal_phase(max_iterations, stop, &mut iterations)?;
+        let status2 = match self.primal_phase(max_iterations, stop, &mut iterations) {
+            Err(MilpError::NumericalTrouble(_)) => return Ok(unreliable(iterations)),
+            status => status?,
+        };
 
         match status2 {
             LpStatus::Optimal => match self.package_optimal(iterations) {
@@ -691,11 +701,7 @@ impl LpWorkspace {
                 // An "optimal" point that does not actually satisfy the model
                 // is numerical drift; downgrade to the unreliable status so
                 // branch-and-bound never builds an incumbent from it.
-                None => Ok(LpSolution::without_point(
-                    LpStatus::IterationLimit,
-                    self.n_struct,
-                    iterations,
-                )),
+                None => Ok(unreliable(iterations)),
             },
             other => {
                 // Unbounded / iteration-limited: report the current point

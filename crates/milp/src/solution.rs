@@ -12,16 +12,22 @@ pub enum SolveStatus {
     /// The returned assignment is optimal (within tolerances).
     Optimal,
     /// A feasible assignment was found but optimality was not proven: the
-    /// node limit was reached, or an LP hit its iteration limit and the
-    /// search had to drop that node.
+    /// node limit ([`SolverOptions::max_nodes`]) was reached, or an LP hit
+    /// the fixed per-LP pivot cap or numerical trouble and the search had to
+    /// drop that node.
+    ///
+    /// [`SolverOptions::max_nodes`]: crate::branch_bound::SolverOptions::max_nodes
     Feasible,
     /// The problem has no feasible mixed-integer assignment.
     Infeasible,
     /// The LP relaxation is unbounded below.
     Unbounded,
     /// No feasible assignment was found, and infeasibility was not proven:
-    /// the node limit was reached, or an LP hit its iteration limit and the
-    /// search had to drop that node.
+    /// the node limit ([`SolverOptions::max_nodes`]) was reached, or an LP
+    /// hit the fixed per-LP pivot cap or numerical trouble and the search
+    /// had to drop that node.
+    ///
+    /// [`SolverOptions::max_nodes`]: crate::branch_bound::SolverOptions::max_nodes
     LimitReached,
     /// The solve was interrupted by its [`SolveControl`] — a cancelled
     /// [`CancelToken`] or an exceeded control deadline. The best incumbent

@@ -138,18 +138,6 @@ pub const BOUND_TIGHTEN_TOL: f64 = ABSOLUTE_GAP;
 /// against big-M coefficients: `1e-6 × M` stays far above [`FEAS_TOL`].
 pub const MIN_STRICT_DELTA: f64 = 1e-6;
 
-/// Row-count threshold at or below which the basis factorization keeps a
-/// dense explicit inverse instead of sparse LU factors + an eta file
-/// ([`crate::factor::BasisFactorization`] switches per `refactorize`). On
-/// micro instances the sparse machinery's indirection dominates: TPC-H tiny
-/// measured ~130 µs/solve dense vs ~235 µs sparse-warm, while past ~100 rows
-/// the `O(m²)` dense FTRAN/BTRAN and `O(m²)` pivot update lose to `O(nnz)`
-/// sparse solves. 64 keeps the dense path comfortably inside the regime the
-/// regression was measured in while bounding the inverse at 32 KiB. Lives
-/// here (not in `factor.rs`) so qr-lint's centralized-constants discipline
-/// covers the crossover alongside the float tolerances it interacts with.
-pub const DENSE_KERNEL_MAX_ROWS: usize = 64;
-
 /// Relative residual accepted by the `debug_assertions`-only LU/FTRAN/BTRAN
 /// self-checks ([`crate::factor::BasisFactorization::refactorize`]). LU
 /// solves are backward-stable, so honest factors land around

@@ -267,67 +267,6 @@ fn natural_join_traced(
     Ok((out, out_sources))
 }
 
-/// Natural join of two relations on all shared column names (hash join).
-pub fn natural_join(left: &Relation, right: &Relation) -> Result<Relation> {
-    let join_cols = left.schema().common_columns(right.schema());
-    if join_cols.is_empty() {
-        return Err(RelationError::NoJoinColumns {
-            left: left.name().to_string(),
-            right: right.name().to_string(),
-        });
-    }
-    let left_idx: Vec<usize> = join_cols
-        .iter()
-        // lint: allow-panic(common_columns only returns names present in both schemas)
-        .map(|c| left.schema().index_of(c).expect("common column"))
-        .collect();
-    let right_idx: Vec<usize> = join_cols
-        .iter()
-        // lint: allow-panic(common_columns only returns names present in both schemas)
-        .map(|c| right.schema().index_of(c).expect("common column"))
-        .collect();
-
-    // Output schema: all left columns, then right columns that are not join columns.
-    let mut schema = Schema::default();
-    for c in left.schema().columns() {
-        schema.push(c.clone())?;
-    }
-    let right_extra: Vec<usize> = right
-        .schema()
-        .columns()
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !right_idx.contains(i))
-        .map(|(i, c)| schema.push(c.clone()).map(|_| i))
-        .collect::<Result<Vec<_>>>()?;
-
-    // Build a hash index on the right relation's join key.
-    let mut index: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-    for (i, row) in right.iter() {
-        let key: Vec<Value> = right_idx.iter().map(|&j| row[j].clone()).collect();
-        index.entry(key).or_default().push(i);
-    }
-
-    let name = format!("{}⋈{}", left.name(), right.name());
-    let mut out = Relation::new(name, schema);
-    for (_, lrow) in left.iter() {
-        let key: Vec<Value> = left_idx.iter().map(|&j| lrow[j].clone()).collect();
-        // NULL join keys never match (SQL semantics).
-        if key.iter().any(Value::is_null) {
-            continue;
-        }
-        if let Some(matches) = index.get(&key) {
-            for &ri in matches {
-                let rrow = &right.rows()[ri];
-                let mut row: Row = lrow.clone();
-                row.extend(right_extra.iter().map(|&j| rrow[j].clone()));
-                out.push_row_unchecked(row);
-            }
-        }
-    }
-    Ok(out)
-}
-
 /// Order rows by the scoring attribute (stable: ties keep join order).
 fn rank(relation: &Relation, order_by: &str, order: SortOrder) -> Result<Relation> {
     let idx = relation.schema().require(order_by, relation.name())?;

@@ -5,8 +5,8 @@
 //! Instances are kept deliberately small so the suite stays fast in debug
 //! builds; the full-size runs live in `qr-bench`.
 
-use query_refinement::core::erica_refine_prepared;
 use query_refinement::core::prelude::*;
+use query_refinement::core::{erica_refine_prepared, exact_deviation};
 use query_refinement::datagen::{DatasetId, Workload};
 use query_refinement::milp::SolverOptions;
 use query_refinement::relation::prelude::*;
@@ -98,6 +98,35 @@ fn refinements_respect_the_deviation_budget_on_all_datasets() {
             let output = evaluate(&w.db, &refined.query).unwrap();
             assert!(output.len() >= 5, "{}", w.id.label());
         }
+    }
+}
+
+#[test]
+fn numerically_troubled_cold_lp_does_not_abort_the_solve() {
+    // On this instance a cold node LP refactorizes a singular basis early in
+    // the search. The search must treat that LP as unreliable (box bound,
+    // midpoint branching) and keep going, not fail the whole solve.
+    let w = Workload::astronauts(80, 20240317);
+    let session = session_for(&w);
+    let request = RefinementRequest::new()
+        .with_constraints(w.lower_bound_pair(5))
+        .with_epsilon(0.0)
+        .with_distance(DistanceMeasure::KendallTopK)
+        .with_time_limit(Duration::from_secs(5));
+    let result = session
+        .solve(&request)
+        .expect("one troubled LP must not abort the solve");
+    if let Some(refined) = result.outcome.refined() {
+        let (deviation, _) = exact_deviation(
+            session.snapshot().annotated(),
+            &request.constraints,
+            &refined.assignment,
+        );
+        assert!(
+            deviation <= request.epsilon + 1e-9,
+            "deviation {deviation} exceeds ε = {}",
+            request.epsilon
+        );
     }
 }
 

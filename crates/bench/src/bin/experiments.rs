@@ -4,8 +4,8 @@
 //!
 //! ```text
 //! cargo run -p qr-bench --release --bin experiments -- \
-//!     [fig3|fig4|fig5|fig6|fig7|fig8|fig9|erica|all]... [--quick] [--distance QD,JAC,KEN]
-//!     [--threads N]
+//!     [fig3|fig4|fig5|fig6|fig7|fig8|fig9|erica|ablation|all]... [--quick]
+//!     [--distance QD,JAC,KEN] [--threads N]
 //! ```
 //!
 //! No figure name runs every figure. An unknown figure name or flag prints
@@ -17,6 +17,11 @@
 //! which algorithm wins, how runtime scales with each parameter — correspond
 //! to the paper's Figures 3–9; absolute times differ because the MILP solver
 //! is the from-scratch `qr-milp` rather than CPLEX (see the README).
+//!
+//! `ablation` measures two things the figures do not: each Section 4
+//! optimization switched off in turn, and the incremental annotation repair
+//! against a full build (the measurement behind
+//! `qr_provenance::DEFAULT_REBUILD_FRACTION`), which prints its own header.
 //!
 //! `--distance` restricts the measured distance measures; labels are parsed
 //! with [`DistanceMeasure`]'s `FromStr` (QD/JAC/KEN or
@@ -37,15 +42,18 @@ use qr_core::{
     OptimizationConfig, RefinementSolver,
 };
 use qr_datagen::{DatasetId, Workload};
-use std::time::Duration;
+use qr_provenance::AnnotatedRelation;
+use qr_relation::{Database, DatabaseDelta, RowId, Value};
+use std::time::{Duration, Instant};
 
 /// One-line usage, printed with every argument error.
-const USAGE: &str = "usage: experiments [fig3|fig4|fig5|fig6|fig7|fig8|fig9|erica|all]... \
+const USAGE: &str =
+    "usage: experiments [fig3|fig4|fig5|fig6|fig7|fig8|fig9|erica|ablation|all]... \
                      [--quick] [--distance QD,JAC,KEN] [--threads N]";
 
 /// Figure names, in the order they run.
-const FIGURES: [&str; 8] = [
-    "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "erica",
+const FIGURES: [&str; 9] = [
+    "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "erica", "ablation",
 ];
 
 /// Parsed command line.
@@ -175,6 +183,9 @@ fn main() {
     }
     if selected("erica") {
         erica_comparison(quick);
+    }
+    if selected("ablation") {
+        ablation(&workloads, quick, &distances);
     }
 }
 
@@ -493,6 +504,147 @@ fn erica_comparison(quick: bool) {
     }
 }
 
+/// Ablation of the Section 4 optimizations: fig3's request with each
+/// optimization switched off in turn, then with none. `--quick` runs the
+/// small Astronauts instance (100 rows, constraint (1) with a bound of 2 in
+/// the top-5), on which every configuration finishes in seconds. Each row
+/// gets its own session, as in fig3.
+fn ablation(workloads: &[Workload], quick: bool, distances: &[DistanceMeasure]) {
+    println!(
+        "# Ablation: Section 4 optimizations (eps={DEFAULT_EPSILON}, parameter = configuration)"
+    );
+    let small;
+    let cases: Vec<(&Workload, ConstraintSet)> = if quick {
+        small = Workload::astronauts(100, SEED);
+        let constraints = ConstraintSet::new().with(small.constraint_with_bound(1, 5, Some(2)));
+        vec![(&small, constraints)]
+    } else {
+        workloads
+            .iter()
+            .map(|w| (w, w.default_constraints(DEFAULT_K)))
+            .collect()
+    };
+    let all = OptimizationConfig::all();
+    let configs = [
+        ("all", all),
+        (
+            "no-relevancy",
+            OptimizationConfig {
+                relevancy_pruning: false,
+                ..all
+            },
+        ),
+        (
+            "no-merging",
+            OptimizationConfig {
+                lineage_merging: false,
+                ..all
+            },
+        ),
+        (
+            "no-single-bound",
+            OptimizationConfig {
+                single_bound_relaxation: false,
+                ..all
+            },
+        ),
+        ("none", OptimizationConfig::none()),
+    ];
+    for (w, constraints) in &cases {
+        println!("# {} ({} rows)", w.id.label(), w.main_relation_size());
+        for &distance in distances {
+            for (label, config) in configs {
+                let row = run_engine(w, constraints, DEFAULT_EPSILON, distance, config, label);
+                println!("{}", row.render());
+            }
+        }
+    }
+    incremental_annotation();
+}
+
+/// Ablation of incremental annotation: a full `AnnotatedRelation::build`
+/// against a repair forced down the incremental path (threshold 1.0), for
+/// Orders updates of 1 row up to the whole relation, on TPC-H at 180 and 720
+/// orders. `base_share` is the share of the query's base rows the delta
+/// touches, the quantity `DEFAULT_REBUILD_FRACTION` is compared with.
+fn incremental_annotation() {
+    // A one-row repair takes tens of microseconds, so a single run is noise.
+    let runs = 15;
+    println!("# Ablation: incremental annotation vs. full build (TPC-H Orders updates, median of {runs} runs)");
+    println!("dataset\tpath\torders\tdelta_rows\tbase_share\tmedian_us\tbuild_ratio");
+    let base = Workload::tpch(60, SEED);
+    let scaled = base.scaled(base.main_relation_size() * 4, SEED + 4);
+    for w in [&base, &scaled] {
+        let orders = w.main_relation_size();
+        let base_rows: usize = w
+            .query
+            .tables
+            .iter()
+            .map(|t| w.db.get(t).expect("TPC-H has the query's tables").len())
+            .sum();
+        let annotated = AnnotatedRelation::build(&w.db, &w.query).expect("annotation builds");
+        let build = median_micros(runs, || {
+            AnnotatedRelation::build(&w.db, &w.query).expect("annotation builds")
+        });
+        println!("TPC-H\tbuild\t{orders}\t-\t-\t{build:.1}\t1.00");
+        for delta_rows in [1, orders / 20, orders / 5, orders / 2, orders] {
+            let (mutated, delta) = update_orders(&w.db, delta_rows);
+            let repair = median_micros(runs, || {
+                annotated
+                    .apply_delta_with_threshold(&mutated, &delta, 1.0)
+                    .expect("repair succeeds")
+            });
+            println!(
+                "TPC-H\trepair\t{orders}\t{delta_rows}\t{:.2}\t{repair:.1}\t{:.2}",
+                delta.rows_touched() as f64 / base_rows as f64,
+                build / repair
+            );
+        }
+    }
+}
+
+/// Update the first `rows` Orders rows, nudging the order-by Revenue value
+/// so the repair has to re-rank, and return the mutated database with the
+/// delta that describes it.
+fn update_orders(db: &Database, rows: usize) -> (Database, DatabaseDelta) {
+    let mut mutated = db.clone();
+    let orders = db.get("Orders").expect("TPC-H has Orders");
+    let revenue = orders
+        .schema()
+        .index_of("Revenue")
+        .expect("Orders has Revenue");
+    let updates: Vec<(RowId, Vec<Value>)> = orders
+        .row_ids()
+        .iter()
+        .take(rows)
+        .map(|&id| {
+            let mut row = orders.row_by_id(id).expect("id exists").clone();
+            if let Value::Float(v) = row[revenue] {
+                row[revenue] = Value::float(v + 0.5);
+            }
+            (id, row)
+        })
+        .collect();
+    let delta = mutated
+        .update_rows("Orders", updates)
+        .expect("updates are well formed")
+        .into();
+    (mutated, delta)
+}
+
+/// Median wall-clock time of `runs` calls of `f`, in microseconds.
+fn median_micros<T>(runs: usize, mut f: impl FnMut() -> T) -> f64 {
+    let mut times: Vec<f64> = (0..runs)
+        .map(|_| {
+            let start = Instant::now();
+            std::hint::black_box(f());
+            start.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    times[runs / 2]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -514,8 +666,8 @@ mod tests {
 
     #[test]
     fn figures_and_flags_parse_in_both_value_forms() {
-        let options = parse(&["fig5", "erica", "--quick", "--threads", "4"]).unwrap();
-        assert_eq!(options.figures, ["fig5", "erica"]);
+        let options = parse(&["fig5", "erica", "ablation", "--quick", "--threads", "4"]).unwrap();
+        assert_eq!(options.figures, ["fig5", "erica", "ablation"]);
         assert!(options.quick);
         assert_eq!(options.threads, 4);
         let options = parse(&["--distance=QD,ken", "fig3", "--threads=0"]).unwrap();
@@ -528,6 +680,7 @@ mod tests {
             ])
         );
         assert_eq!(options.threads, 1, "a zero worker count runs sequentially");
+        assert!(parse(&["all"]).unwrap().figures.contains(&"ablation"));
     }
 
     #[test]

@@ -2,11 +2,13 @@
 //!
 //! Shared harness code for reproducing the paper's evaluation (Section 5).
 //!
-//! Every figure of the paper has a corresponding Criterion bench target in
-//! `benches/` and a sweep in the `experiments` binary
+//! Every figure of the paper has a sweep in the `experiments` binary
 //! (`cargo run -p qr-bench --release --bin experiments -- <figure>`), which
 //! prints the same series the paper plots: setup time, solver time and total
-//! time per dataset, distance measure and swept parameter.
+//! time per dataset, distance measure and swept parameter. Its `ablation`
+//! figure adds the Section 4 optimization ablation and the incremental
+//! annotation measurement. Regressions are judged by the separate benchmark
+//! in `perfbench/`, not by this crate.
 //!
 //! The harness is built on `qr-core`'s session API: a [`RefinementSession`]
 //! per workload (provenance annotation paid once), algorithm backends
@@ -253,9 +255,9 @@ pub fn run_epsilon_sweep(
     (session.setup_stats().annotation_time.as_secs_f64(), rows)
 }
 
-/// Workloads used by the Criterion benches: smaller than the defaults so that
-/// a full `cargo bench` pass finishes quickly; the `experiments` binary uses
-/// the full default sizes.
+/// The small workloads of `experiments --quick`, sized so that a quick pass
+/// over a figure finishes in about a minute; without `--quick` the binary
+/// uses [`experiment_workloads`].
 pub fn bench_workloads() -> Vec<Workload> {
     vec![
         Workload::astronauts(180, SEED),
@@ -270,32 +272,9 @@ pub fn experiment_workloads() -> Vec<Workload> {
     Workload::all(SEED)
 }
 
-/// A deliberately tiny instance of a workload, used by the Criterion benches
-/// so that a full `cargo bench --workspace` pass stays in the minutes range.
-/// The full-size parameter sweeps live in the `experiments` binary.
-pub fn tiny_workload(id: qr_datagen::DatasetId) -> Workload {
-    use qr_datagen::DatasetId;
-    match id {
-        DatasetId::Astronauts => Workload::astronauts(100, SEED),
-        DatasetId::LawStudents => Workload::law_students(250, SEED),
-        DatasetId::Meps => Workload::meps(250, SEED),
-        DatasetId::Tpch => Workload::tpch(60, SEED),
-    }
-}
-
-/// The small `k` used by the Criterion benches.
-pub const TINY_K: usize = 5;
-
-/// Constraint (1) of Table 6 for a tiny workload, with a bound of 2 in the
-/// top-[`TINY_K`].
-pub fn tiny_constraints(workload: &Workload) -> ConstraintSet {
-    ConstraintSet::new().with(workload.constraint_with_bound(1, TINY_K, Some(2)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qr_datagen::DatasetId;
 
     #[test]
     fn row_rendering() {
@@ -324,8 +303,8 @@ mod tests {
 
     #[test]
     fn epsilon_sweep_amortizes_annotation() {
-        let w = tiny_workload(DatasetId::Tpch);
-        let constraints = tiny_constraints(&w);
+        let w = Workload::tpch(60, SEED);
+        let constraints = ConstraintSet::new().with(w.constraint_with_bound(1, 5, Some(2)));
         let (annotation_seconds, rows) = run_epsilon_sweep(
             &w,
             &constraints,

@@ -13,7 +13,8 @@
 //!    (or only upper-bound) constraints.
 //!
 //! Each can be toggled independently to reproduce the paper's ablations
-//! (Figures 3, 7) and the extra ablation benches in `qr-bench`.
+//! (Figures 3, 7) and the `ablation` figure of `qr-bench`'s `experiments`
+//! binary, which switches them off one at a time.
 
 /// Which of the Section 4 optimizations to apply when building the MILP.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

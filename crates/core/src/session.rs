@@ -864,10 +864,14 @@ impl Clone for RefinementSession {
     /// would conflate entries from diverged databases that happen to carry
     /// the same version number.
     fn clone(&self) -> Self {
+        // The stats lock is `apply`'s writer lock, held until the new
+        // snapshot is installed: reading the snapshot under it keeps the
+        // clone's snapshot and stats from two different versions.
+        let stats = lock_or_recover(&self.stats);
         RefinementSession {
             query: self.query.clone(),
             current: RwLock::new(self.snapshot()),
-            stats: Mutex::new(self.setup_stats()),
+            stats: Mutex::new(stats.clone()),
             cache: self
                 .cache
                 .as_ref()
@@ -976,33 +980,8 @@ impl RefinementSession {
             };
             delta.merge(step);
         }
-        self.repair_and_install(&mut stats, &current, db, &delta)
-    }
-
-    /// Apply a pre-composed [`DatabaseDelta`] against a database that already
-    /// reflects it, installing it as the next snapshot. This is the low-level
-    /// sibling of [`apply`](Self::apply) for callers that mutate a database
-    /// copy themselves; the delta must accurately describe `db` relative to
-    /// the current snapshot's database.
-    pub fn apply_delta(&self, db: Database, delta: &DatabaseDelta) -> Result<u64> {
-        let mut stats = lock_or_recover(&self.stats);
-        let current = self.snapshot();
-        self.repair_and_install(&mut stats, &current, db, delta)
-    }
-
-    /// Writer tail shared by [`apply`](Self::apply) and
-    /// [`apply_delta`](Self::apply_delta): repair the annotation against the
-    /// mutated database, account the work, and atomically publish the next
-    /// snapshot. Caller holds the stats lock (the writer lock).
-    fn repair_and_install(
-        &self,
-        stats: &mut SessionStats,
-        current: &AnnotatedSnapshot,
-        db: Database,
-        delta: &DatabaseDelta,
-    ) -> Result<u64> {
         let start = Instant::now();
-        let repaired = current.annotated.apply_delta(&db, delta)?;
+        let repaired = current.annotated.apply_delta(&db, &delta)?;
         // Exhaustive destructuring: adding a `SessionStats` field without
         // deciding how a mutation batch updates it is a compile error here.
         let SessionStats {
@@ -1349,19 +1328,6 @@ impl RefinementSession {
         let snapshot = self.snapshot();
         self.run_parallel(requests.len(), workers, |i| {
             self.solve_on(&snapshot, &requests[i])
-        })
-    }
-
-    /// [`solve_batch_parallel`](Self::solve_batch_parallel) with an explicit
-    /// algorithm backend instead of the MILP engine.
-    pub fn solve_batch_parallel_with(
-        &self,
-        solver: &dyn RefinementSolver,
-        requests: &[RefinementRequest],
-        workers: usize,
-    ) -> Result<Vec<RefinementResult>> {
-        self.run_parallel(requests.len(), workers, |i| {
-            solver.solve(self, &requests[i])
         })
     }
 

@@ -46,8 +46,8 @@ use crate::session::{
 /// [`apply`](RefinementSession::apply) cannot change its answer mid-flight.
 ///
 /// The `Send + Sync` supertraits are the concurrency contract: a backend can
-/// be shared by reference across the worker threads of
-/// [`RefinementSession::solve_batch_parallel_with`], so any internal state
+/// be shared by reference across threads that call
+/// [`RefinementSession::solve_with`] concurrently, so any internal state
 /// must be immutable or synchronized. Implementations must also honor the
 /// request's [`SolveControl`](qr_milp::control::SolveControl) — its unified
 /// deadline and cancellation — and report an interrupted solve through

@@ -196,11 +196,6 @@ impl SolveControl {
         self.time_limit
     }
 
-    /// The cancellation token, if one is attached.
-    pub fn cancel_token(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
-    }
-
     /// The progress observer, if one is attached.
     pub fn observer(&self) -> Option<&dyn SolveObserver> {
         self.observer.as_deref()

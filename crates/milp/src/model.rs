@@ -217,11 +217,6 @@ impl Model {
             .count()
     }
 
-    /// Ids of all variables, in declaration order.
-    pub fn variable_ids(&self) -> impl Iterator<Item = VarId> {
-        (0..self.variables.len()).map(VarId)
-    }
-
     /// Validate the model: finite coefficients, consistent bounds, all
     /// referenced variables declared.
     pub fn validate(&self) -> Result<()> {

@@ -46,13 +46,17 @@ pub struct LineageClass {
 /// Fraction of base rows a delta may touch before
 /// [`AnnotatedRelation::apply_delta`] falls back to a full rebuild.
 ///
-/// Measured with the `ablation_incremental` benchmark (fig8 TPC-H datasize
-/// workload, 180- and 720-order scales): a single-row repair runs 13–16x
-/// faster than a fresh [`AnnotatedRelation::build`], and the repair stays
-/// ahead until the delta covers the whole main relation — roughly 70% of the
-/// base rows across the query's tables — where the two paths cost the same
-/// (repair re-derives most tuples anyway while also paying the merge
-/// bookkeeping). 0.7 sits at that measured break-even point.
+/// Measured with the `ablation` figure of `qr-bench`'s `experiments` binary,
+/// which times repairs forced down the incremental path against a fresh
+/// [`AnnotatedRelation::build`] on TPC-H at 180 and 720 orders. Over nine
+/// runs, a single-row repair ran a median 12x (180 orders) and 14x (720
+/// orders) faster than the build, and the gap closes as the delta grows. A
+/// delta that updates all 180 orders touches 0.68 of the base rows across
+/// the query's tables and costs about as much as the build (median ratio
+/// 1.04), because repair re-derives most tuples anyway while also paying the
+/// merge bookkeeping. 0.7 sits at that measured break-even point. At 720
+/// orders even the whole-relation delta (0.89 of the base rows) repaired
+/// about as fast as a build (median ratio 1.10).
 pub const DEFAULT_REBUILD_FRACTION: f64 = 0.7;
 
 /// Result of [`AnnotatedRelation::apply_delta`]: the repaired annotation plus

@@ -52,7 +52,8 @@
 //! database. When a delta touches more than
 //! [`DEFAULT_REBUILD_FRACTION`] of the
 //! base rows, `apply_delta` falls back to a full rebuild, which is faster at
-//! that point (threshold measured by the `ablation_incremental` benchmark).
+//! that point (threshold measured by the `ablation` figure of `qr-bench`'s
+//! `experiments` binary).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

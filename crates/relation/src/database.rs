@@ -107,11 +107,6 @@ impl Database {
         self.relations.remove(name)
     }
 
-    /// Names of all relations, sorted.
-    pub fn relation_names(&self) -> Vec<&str> {
-        self.relations.keys().map(|s| s.as_str()).collect()
-    }
-
     /// Number of relations in the catalog.
     pub fn len(&self) -> usize {
         self.relations.len()

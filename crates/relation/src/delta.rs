@@ -129,13 +129,6 @@ impl DatabaseDelta {
             None => self.relations.push(later),
         }
     }
-
-    /// Fold a whole later database delta in, relation by relation.
-    pub fn merge_all(&mut self, later: DatabaseDelta) {
-        for delta in later.relations {
-            self.merge(delta);
-        }
-    }
 }
 
 impl From<RelationDelta> for DatabaseDelta {

@@ -134,11 +134,6 @@ impl Relation {
         &self.row_ids
     }
 
-    /// Stable id of the row at a storage position.
-    pub fn row_id(&self, row_idx: usize) -> Option<RowId> {
-        self.row_ids.get(row_idx).copied()
-    }
-
     /// Storage position of the row with a stable id (binary search: ids are
     /// strictly increasing in storage order).
     pub fn position_of(&self, id: RowId) -> Option<usize> {

@@ -2,6 +2,7 @@
 //! current when it starts, so a mutation applied *mid-flight* cannot change
 //! its answer — while the very next request sees the new database version.
 
+use query_refinement::core::paper_example::{paper_database, scholarship_query};
 use query_refinement::core::prelude::*;
 use query_refinement::datagen::Workload;
 use query_refinement::milp::SolverOptions;
@@ -105,4 +106,38 @@ fn mid_flight_mutation_does_not_change_a_pinned_solve() {
     // And the post-mutation solve runs against the new snapshot end to end.
     let after = session.solve(&request).unwrap();
     assert!(!after.outcome.is_interrupted());
+}
+
+#[test]
+fn clone_during_apply_pairs_a_snapshot_with_its_own_stats() {
+    // `apply` holds the stats lock until its new snapshot is installed, so a
+    // clone that reads the snapshot outside that lock can pair version v's
+    // snapshot with version v + 1's stats. One thread applies one-row updates
+    // back to back while this one clones.
+    let session = RefinementSession::new(paper_database(), scholarship_query()).unwrap();
+    let snapshot = session.snapshot();
+    let students = snapshot.db().get("Students").unwrap();
+    let id = students.row_ids()[0];
+    let row = students.row_by_id(id).unwrap().clone();
+    let stop = AtomicBool::new(false);
+    let mismatches = std::thread::scope(|scope| {
+        let writer = scope.spawn(|| {
+            while !stop.load(Ordering::SeqCst) {
+                let update = Mutation::update("Students", vec![(id, row.clone())]);
+                session.apply(vec![update]).unwrap();
+            }
+        });
+        // Clone only once the writer is running.
+        while session.version() < 3 && !writer.is_finished() {
+            std::thread::yield_now();
+        }
+        let mismatches = (0..500)
+            .map(|_| session.clone())
+            .filter(|clone| clone.setup_stats().snapshot_version != clone.version())
+            .count();
+        stop.store(true, Ordering::SeqCst);
+        writer.join().expect("writer thread");
+        mismatches
+    });
+    assert_eq!(mismatches, 0, "clones mixed two versions");
 }

@@ -17,7 +17,8 @@ pub enum CoreError {
     /// The constraint set is structurally invalid (empty, zero bound, group
     /// attribute missing from the data, ...).
     InvalidConstraint(String),
-    /// The problem input is invalid (e.g. negative ε, k* larger than the data).
+    /// The problem input is invalid (e.g. an ε that is negative, NaN or
+    /// infinite, k* larger than the data).
     InvalidInput(String),
     /// A textual label (distance measure, algorithm mode, ...) failed to parse.
     Parse(String),

@@ -9,7 +9,9 @@
 //!   (and, for `SELECT DISTINCT`, to the selection of higher-ranked
 //!   duplicates `S(t)`),
 //! * expression (4) guarantees at least `k*` output tuples,
-//! * expression (5) defines the rank `s_t` of every selected tuple,
+//! * expression (5) defines the rank `s_t` of every selected tuple; its rows
+//!   come from one running-count sweep over the scope, in O(scope + nnz)
+//!   rather than a scope walk per rank tuple,
 //! * expression (6) links ranks to top-`k` membership indicators `l_{t,k}`,
 //! * expressions (7)/(8) bound the deviation from the constraint set by `ε`,
 //! * the objective encodes the chosen distance measure: `DIS_pred` via a
@@ -66,7 +68,9 @@ pub struct ModelVariables {
     pub topk: HashMap<(usize, usize), VarId>,
     /// Error variable `E_{G,k}` per constraint (same order as the constraint set).
     pub error: Vec<VarId>,
-    /// Tuples that are part of the generated program, in rank order.
+    /// Tuples that are part of the generated program, in rank order: their
+    /// indices into `~Q(D)` ascend strictly, which the expression (5) sweep
+    /// relies on.
     pub scope: Vec<usize>,
     /// The original query's top-`k*` tuple indices (only for outcome-based
     /// distance measures).
@@ -203,6 +207,20 @@ fn snap_constant(
     }
 }
 
+/// Reject a maximum deviation ε that is not a finite, non-negative number.
+/// NaN fails every comparison, and +∞ would put an infinite right-hand side
+/// on the `max_deviation` row, so both are invalid input rather than a
+/// budget. Shared by the MILP build and the exhaustive search.
+pub(crate) fn check_epsilon(epsilon: f64) -> Result<()> {
+    if epsilon.is_finite() && epsilon >= 0.0 {
+        Ok(())
+    } else {
+        Err(CoreError::InvalidInput(format!(
+            "maximum deviation ε must be finite and non-negative, got {epsilon}"
+        )))
+    }
+}
+
 /// Build the refinement MILP.
 pub fn build_model(
     annotated: &AnnotatedRelation,
@@ -211,11 +229,7 @@ pub fn build_model(
     distance: DistanceMeasure,
     config: &OptimizationConfig,
 ) -> Result<BuiltModel> {
-    if epsilon < 0.0 {
-        return Err(CoreError::InvalidInput(
-            "maximum deviation ε must be non-negative".into(),
-        ));
-    }
+    check_epsilon(epsilon)?;
     constraints.validate(annotated)?;
     let query = annotated.query().clone();
     let k_star = constraints.k_star();
@@ -570,17 +584,33 @@ pub fn build_model(
         let s = model.add_continuous(format!("s[{t}]"), 1.0, 2.0 * big_n + 1.0);
         vars.rank.insert(t, s);
     }
+    // One sweep: `rank_tuples` ascends (a BTreeSet), and so does `scope`
+    // (`0..len`, or sorted by `relevant_indices` and the DISTINCT closure;
+    // `retain` keeps the order), so one cursor into `scope` counts, per
+    // selection variable, the scope tuples ranked above the current rank
+    // tuple. The counts are small integers, exact in f64, so each row's
+    // coefficients are those of adding its terms one by one.
+    debug_assert!(scope.windows(2).all(|w| w[0] < w[1]), "scope must ascend");
+    let mut above: Vec<(VarId, f64)> = Vec::new();
+    let mut above_slot: HashMap<VarId, usize> = HashMap::new();
+    let mut cursor = scope.iter().copied().peekable();
     for &t in &rank_tuples {
+        while let Some(t2) = cursor.next_if(|&t2| t2 < t) {
+            let var = vars.selection[&t2];
+            let slot = *above_slot.entry(var).or_insert_with(|| {
+                above.push((var, 0.0));
+                above.len() - 1
+            });
+            above[slot].1 += 1.0;
+        }
         let s = vars.rank[&t];
         // 1 + N*(1 - r_t) + Σ_{t' better-ranked} r_{t'}  (sense)  s_t
-        let mut expr = LinExpr::constant(1.0 + big_n);
-        expr.add_term(vars.selection[&t], -big_n);
-        for &t2 in &scope {
-            if t2 < t {
-                expr.add_term(vars.selection[&t2], 1.0);
-            }
-        }
-        expr.add_term(s, -1.0);
+        let mut expr: LinExpr = above
+            .iter()
+            .copied()
+            .chain([(vars.selection[&t], -big_n), (s, -1.0)])
+            .collect();
+        expr.add_constant(1.0 + big_n);
 
         let sense = if config.single_bound_relaxation && !objective_tuples.contains(&t) {
             match tuple_bounds.get(&t) {
@@ -867,14 +897,11 @@ fn build_kendall_objective(
     let coeff = big_n + 1.0;
 
     // Σ_{t' ∉ Q(D)_{k*}} l_{t',k*} is shared by every Case 3 expression.
-    let mut newcomers = LinExpr::zero();
-    for &t in scope {
-        if !original_set.contains(&t) {
-            if let Some(&l) = vars.topk.get(&(t, k_star)) {
-                newcomers.add_term(l, 1.0);
-            }
-        }
-    }
+    let newcomers: Vec<VarId> = scope
+        .iter()
+        .filter(|t| !original_set.contains(t))
+        .filter_map(|&t| vars.topk.get(&(t, k_star)).copied())
+        .collect();
 
     for (pos, &t) in original_top_k.iter().enumerate() {
         let Some(&l_t) = vars.topk.get(&(t, k_star)) else {
@@ -917,18 +944,15 @@ fn build_kendall_objective(
             Sense::Le,
             coeff,
         );
-        model.add_constraint(
-            format!("case3_ub[{t}]"),
-            LinExpr::term(case3, 1.0) - LinExpr::term(l_t, coeff) - newcomers.clone(),
-            Sense::Le,
-            0.0,
-        );
-        model.add_constraint(
-            format!("case3_lb[{t}]"),
-            LinExpr::term(case3, 1.0) + LinExpr::term(l_t, coeff) - newcomers.clone(),
-            Sense::Ge,
-            0.0,
-        );
+        // l_t is never a newcomer, so no two of these terms merge.
+        let case3_row = |l_t_coeff: f64| -> LinExpr {
+            [(case3, 1.0), (l_t, l_t_coeff)]
+                .into_iter()
+                .chain(newcomers.iter().map(|&l| (l, -1.0)))
+                .collect()
+        };
+        model.add_constraint(format!("case3_ub[{t}]"), case3_row(-coeff), Sense::Le, 0.0);
+        model.add_constraint(format!("case3_lb[{t}]"), case3_row(coeff), Sense::Ge, 0.0);
         objective.add_term(case3, 1.0);
     }
     objective

@@ -11,6 +11,7 @@
 use crate::constraint::ConstraintSet;
 use crate::distance::DistanceMeasure;
 use crate::error::{CoreError, Result};
+use crate::milp_model::check_epsilon;
 use crate::session::{
     exact_distance, RefinedQuery, RefinementOutcome, RefinementResult, RefinementStats,
 };
@@ -146,6 +147,9 @@ impl NaiveResult {
 /// `interrupted` set, so the outcome becomes
 /// [`RefinementOutcome::Interrupted`] carrying the best candidate so far —
 /// the same semantics as the MILP engine, instead of running to completion.
+///
+/// An `epsilon` that is not finite and non-negative is
+/// [`CoreError::InvalidInput`], as for the MILP.
 pub fn naive_search_prepared(
     db: &Database,
     annotated: &AnnotatedRelation,
@@ -158,6 +162,7 @@ pub fn naive_search_prepared(
     let start = Instant::now();
     let stop = control.stop_condition(start);
     let query = annotated.query();
+    check_epsilon(epsilon)?;
     constraints.validate(annotated)?;
     let k_star = constraints.k_star();
     let setup_time = start.elapsed();

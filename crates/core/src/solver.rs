@@ -294,6 +294,32 @@ mod tests {
         }
     }
 
+    /// An ε that is NaN, negative or infinite is invalid input to the MILP
+    /// and to the exhaustive search alike: neither may answer it, least of
+    /// all with a proof of infeasibility.
+    #[test]
+    fn invalid_epsilon_is_rejected_by_milp_and_naive() {
+        use crate::error::CoreError;
+        let session = paper_session();
+        for epsilon in [f64::NAN, -0.1, f64::INFINITY] {
+            let request = RefinementRequest::new()
+                .with_constraints(scholarship_constraints())
+                .with_epsilon(epsilon);
+            let milp = session.solve(&request).unwrap_err();
+            assert!(
+                matches!(milp, CoreError::InvalidInput(_)),
+                "MILP at ε = {epsilon}: {milp:?}"
+            );
+            let naive = session
+                .solve_with(&NaiveSolver::new(NaiveMode::Provenance), &request)
+                .unwrap_err();
+            assert!(
+                matches!(naive, CoreError::InvalidInput(_)),
+                "Naive+prov at ε = {epsilon}: {naive:?}"
+            );
+        }
+    }
+
     #[test]
     fn labels_follow_the_paper() {
         let request = RefinementRequest::new();

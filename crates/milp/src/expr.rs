@@ -6,9 +6,11 @@ use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 
 /// A linear expression `Σ coeff_i · x_i + constant`.
 ///
-/// Expressions are built either with the arithmetic operators (`+`, `-`, `*`
-/// by a scalar) or with the in-place [`LinExpr::add_term`] method, which is
-/// cheaper when assembling large expressions term by term.
+/// Expressions are built with the arithmetic operators (`+`, `-`, `*` by a
+/// scalar), with the in-place [`LinExpr::add_term`] method, which is cheaper
+/// when assembling large expressions term by term, or in bulk by
+/// `collect()`ing `(VarId, f64)` pairs, which is cheaper still when a whole
+/// row is known at once (see the [`FromIterator`] impl).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LinExpr {
     terms: BTreeMap<VarId, f64>,
@@ -107,6 +109,32 @@ impl From<f64> for LinExpr {
     }
 }
 
+/// The bulk path: the result equals folding the same pairs, in the same
+/// order, through [`LinExpr::add_term`] on the zero expression — the same
+/// terms with the same coefficient bits — but costs one sort of the pairs
+/// and one bulk map build instead of a map insert per pair.
+///
+/// The pairs are stable-sorted by variable, each variable's coefficients are
+/// summed in iteration order, and sums that are exactly zero are dropped.
+impl FromIterator<(VarId, f64)> for LinExpr {
+    fn from_iter<I: IntoIterator<Item = (VarId, f64)>>(iter: I) -> Self {
+        // Zero coefficients are skipped, as `add_term` skips them.
+        let mut pairs: Vec<(VarId, f64)> = iter.into_iter().filter(|&(_, c)| c != 0.0).collect();
+        pairs.sort_by_key(|&(var, _)| var);
+        let mut summed: Vec<(VarId, f64)> = Vec::with_capacity(pairs.len());
+        for (var, coeff) in pairs {
+            match summed.last_mut() {
+                Some((last, sum)) if *last == var => *sum += coeff,
+                _ => summed.push((var, coeff)),
+            }
+        }
+        LinExpr {
+            terms: summed.into_iter().filter(|&(_, c)| c != 0.0).collect(),
+            constant: 0.0,
+        }
+    }
+}
+
 impl Add for LinExpr {
     type Output = LinExpr;
     fn add(mut self, rhs: LinExpr) -> LinExpr {
@@ -164,6 +192,7 @@ impl Neg for LinExpr {
 mod tests {
     use super::*;
     use crate::model::Model;
+    use proptest::prelude::*;
 
     #[test]
     fn build_and_evaluate() {
@@ -204,6 +233,79 @@ mod tests {
         let mut e = LinExpr::zero();
         e.add_term(x, 0.0);
         assert!(e.is_empty());
+    }
+
+    /// `(var, coeff)` pairs from generated `(var, kind, x)` triples: kinds 0
+    /// and 1 give `0.0` and `-0.0`, kinds 2–4 a small pool of values that
+    /// repeat across variables, the rest the random `x`.
+    fn pairs_from(raw: &[(usize, usize, f64)]) -> Vec<(VarId, f64)> {
+        const POOL: [f64; 3] = [0.1, 0.7, 3.0];
+        raw.iter()
+            .map(|&(var, kind, x)| {
+                let coeff = match kind {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2..=4 => POOL[kind - 2],
+                    _ => x,
+                };
+                (VarId(var), coeff)
+            })
+            .collect()
+    }
+
+    fn fold_add_term(pairs: &[(VarId, f64)]) -> LinExpr {
+        let mut e = LinExpr::zero();
+        for &(var, coeff) in pairs {
+            e.add_term(var, coeff);
+        }
+        e
+    }
+
+    fn term_bits(e: &LinExpr) -> Vec<(VarId, u64)> {
+        e.terms().map(|(v, c)| (v, c.to_bits())).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `collect()` gives the terms, in order and bit for bit, of folding
+        /// the same pairs through `add_term`, also when a variable repeats,
+        /// a sum cancels part-way (`c` now, `-c` later) or a coefficient is
+        /// zero.
+        #[test]
+        fn collect_equals_folding_add_term(
+            raw in proptest::collection::vec((0usize..6, 0usize..8, -4.0f64..4.0), 0..24),
+            negate in proptest::collection::vec(any::<bool>(), 0..24),
+        ) {
+            let mut pairs = pairs_from(&raw);
+            let negated: Vec<(VarId, f64)> = pairs
+                .iter()
+                .zip(&negate)
+                .filter(|(_, &n)| n)
+                .map(|(&(v, c), _)| (v, -c))
+                .collect();
+            pairs.extend(negated);
+            let bulk: LinExpr = pairs.iter().copied().collect();
+            let folded = fold_add_term(&pairs);
+            prop_assert_eq!(term_bits(&bulk), term_bits(&folded));
+            prop_assert_eq!(bulk.constant_part(), 0.0);
+        }
+
+        /// A list followed by its own negation, in reverse, cancels to the
+        /// empty expression. Quarter-integer coefficients keep every partial
+        /// sum exact, so the cancellation is exact too.
+        #[test]
+        fn collect_of_a_list_and_its_negation_is_empty(
+            raw in proptest::collection::vec((0usize..6, -16i64..16), 0..24),
+        ) {
+            let mut pairs: Vec<(VarId, f64)> =
+                raw.iter().map(|&(v, q)| (VarId(v), q as f64 * 0.25)).collect();
+            let negated: Vec<(VarId, f64)> = pairs.iter().rev().map(|&(v, c)| (v, -c)).collect();
+            pairs.extend(negated);
+            let bulk: LinExpr = pairs.iter().copied().collect();
+            prop_assert!(bulk.is_empty());
+            prop_assert_eq!(term_bits(&bulk), term_bits(&fold_add_term(&pairs)));
+        }
     }
 
     #[test]

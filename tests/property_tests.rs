@@ -1,16 +1,22 @@
 //! Property-based tests over the core data structures and invariants.
 
 use proptest::prelude::*;
-use query_refinement::core::paper_example::{paper_database, scholarship_query};
-use query_refinement::core::{
-    jaccard_topk_distance, kendall_topk_distance, CardinalityConstraint, ConstraintSet,
-    DistanceMeasure, Group, NaiveMode, RefinementRequest, RefinementSession,
+use query_refinement::core::paper_example::{
+    paper_database, scholarship_constraints, scholarship_query,
 };
-use query_refinement::milp::{LinExpr, Model, Sense, SolveStatus, Solver};
-use query_refinement::provenance::{whatif::evaluate_refinement, PredicateAssignment};
+use query_refinement::core::{
+    build_model, jaccard_topk_distance, kendall_topk_distance, BuiltModel, CardinalityConstraint,
+    ConstraintSet, DistanceMeasure, Group, NaiveMode, OptimizationConfig, RefinementRequest,
+    RefinementSession,
+};
+use query_refinement::datagen::Workload;
+use query_refinement::milp::{LinExpr, Model, Sense, SolveStatus, Solver, VarId};
+use query_refinement::provenance::{
+    whatif::evaluate_refinement, AnnotatedRelation, PredicateAssignment,
+};
 use query_refinement::relation::csv::{read_csv_str, write_csv_string};
 use query_refinement::relation::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -176,4 +182,130 @@ proptest! {
         prop_assert!((solution.objective + expected).abs() < 1e-6,
             "expected {} got {}", expected, -solution.objective);
     }
+
+    /// Every rank row (expression (5)) and every Case 3 row of the Kendall
+    /// objective equals its definition, computed term by term from the
+    /// model's variable handles, on generated Astronauts and TPC-H
+    /// instances and on the paper example (a DISTINCT query), under any
+    /// optimization flags and every distance measure.
+    #[test]
+    fn rank_and_case3_rows_equal_their_definitions(
+        dataset in 0usize..3,
+        size in 0usize..1000,
+        seed in 0u64..1000,
+        k in 3usize..9,
+        flags in (any::<bool>(), any::<bool>(), any::<bool>()),
+        measure_idx in 0usize..3,
+    ) {
+        let (db, query, constraints) = match dataset {
+            0 => {
+                let w = Workload::astronauts(20 + size % 61, seed);
+                let c = w.default_constraints(k);
+                (w.db, w.query, c)
+            }
+            1 => {
+                let w = Workload::tpch(10 + size % 21, seed);
+                let c = w.default_constraints(k);
+                (w.db, w.query, c)
+            }
+            _ => (paper_database(), scholarship_query(), scholarship_constraints()),
+        };
+        let config = OptimizationConfig {
+            relevancy_pruning: flags.0,
+            lineage_merging: flags.1,
+            single_bound_relaxation: flags.2,
+        };
+        let distance = DistanceMeasure::all()[measure_idx];
+        let annotated = AnnotatedRelation::build(&db, &query).unwrap();
+        // Instances too small for the top-k* are rejected as invalid input.
+        let built = build_model(&annotated, &constraints, 0.5, distance, &config);
+        prop_assume!(built.is_ok());
+        let built = built.unwrap();
+        check_rank_rows(&built)?;
+        if distance == DistanceMeasure::KendallTopK {
+            check_case3_rows(&built)?;
+        }
+    }
+}
+
+/// The terms of the model row named `name`, with its right-hand side.
+fn row(built: &BuiltModel, name: &str) -> Option<(BTreeMap<VarId, f64>, f64)> {
+    built
+        .model
+        .constraints()
+        .iter()
+        .find(|c| c.name == name)
+        .map(|c| (c.expr.terms().collect(), c.rhs))
+}
+
+/// Expression (5) for each rank variable s_t, by definition:
+/// 1 + N(1 − r_t) + Σ_{t' ∈ scope, t' < t} r_{t'} − s_t (sense) 0, so each
+/// selection variable carries the number of better-ranked scope tuples that
+/// use it, r_t gets −N on top, s_t gets −1, and the rhs is −(1 + N).
+fn check_rank_rows(built: &BuiltModel) -> Result<(), proptest::test_runner::TestCaseError> {
+    let vars = &built.vars;
+    let n = vars.scope.len() as f64;
+    let rank_rows = built
+        .model
+        .constraints()
+        .iter()
+        .filter(|c| c.name.starts_with("rank["))
+        .count();
+    prop_assert_eq!(rank_rows, vars.rank.len());
+    for (&t, &s) in &vars.rank {
+        let mut expected: BTreeMap<VarId, f64> = BTreeMap::new();
+        for &t2 in &vars.scope {
+            if t2 < t {
+                *expected.entry(vars.selection[&t2]).or_insert(0.0) += 1.0;
+            }
+        }
+        *expected.entry(vars.selection[&t]).or_insert(0.0) += -n;
+        *expected.entry(s).or_insert(0.0) += -1.0;
+        let (terms, rhs) = row(built, &format!("rank[{t}]")).expect("every s_t has a rank row");
+        prop_assert!(terms == expected, "rank[{t}]: {terms:?} != {expected:?}");
+        prop_assert!(rhs == -(1.0 + n), "rank[{t}]: rhs {rhs}");
+    }
+    Ok(())
+}
+
+/// The Case 3 rows of each original top-k* tuple t kept in scope:
+/// case3_ub[t] = case3 − (N + 1) l_t − Σ newcomers ≤ 0 and
+/// case3_lb[t] = case3 + (N + 1) l_t − Σ newcomers ≥ 0, where the newcomers
+/// are the l_{t',k*} of the scope tuples outside the original top-k*.
+fn check_case3_rows(built: &BuiltModel) -> Result<(), proptest::test_runner::TestCaseError> {
+    let vars = &built.vars;
+    let k_star = built.k_star;
+    let coeff = vars.scope.len() as f64 + 1.0;
+    let original: BTreeSet<usize> = vars.original_top_k.iter().copied().collect();
+    let newcomers: Vec<VarId> = vars
+        .scope
+        .iter()
+        .filter(|t| !original.contains(t))
+        .map(|&t| vars.topk[&(t, k_star)])
+        .collect();
+    for &t in &vars.original_top_k {
+        let Some(&l_t) = vars.topk.get(&(t, k_star)) else {
+            prop_assert!(row(built, &format!("case3_ub[{t}]")).is_none());
+            continue;
+        };
+        for (name, l_t_coeff) in [("case3_ub", -coeff), ("case3_lb", coeff)] {
+            let (terms, rhs) = row(built, &format!("{name}[{t}]")).expect("a Case 3 row");
+            let case3: Vec<VarId> = terms
+                .keys()
+                .copied()
+                .filter(|&v| built.model.variable(v).name == format!("case3[{t}]"))
+                .collect();
+            prop_assert!(case3.len() == 1, "{name}[{t}] has one case3 term");
+            let mut expected: BTreeMap<VarId, f64> = BTreeMap::new();
+            expected.insert(case3[0], 1.0);
+            expected.insert(l_t, l_t_coeff);
+            for &l in &newcomers {
+                expected.insert(l, -1.0);
+            }
+            prop_assert_eq!(newcomers.len() + 2, expected.len());
+            prop_assert!(terms == expected, "{name}[{t}]: {terms:?} != {expected:?}");
+            prop_assert!(rhs == 0.0, "{name}[{t}]: rhs {rhs}");
+        }
+    }
+    Ok(())
 }

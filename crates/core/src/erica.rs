@@ -11,206 +11,179 @@
 //!   predicate refinements and tuple selection,
 //! * group constraints are enforced over all selected tuples (no rank / top-k
 //!   variables),
-//! * the output size is constrained to be exactly `output_size`,
+//! * the output size is constrained to be exactly k*, the largest k of the
+//!   request's constraints,
 //! * constraints must hold exactly (no deviation budget),
 //! * the objective is the predicate-based distance, Erica's only measure.
+//!
+//! It runs as [`EricaSolver`], a [`RefinementSolver`] backend: a caller asks
+//! [`RefinementSession::solve_with`] and gets the same [`RefinementResult`]
+//! as from the MILP engine.
 
 use crate::constraint::{BoundType, CardinalityConstraint, ConstraintSet};
-use crate::distance::{predicate_distance, DistanceMeasure};
+use crate::distance::DistanceMeasure;
 use crate::error::Result;
 use crate::milp_model::{build_model, BuiltModel};
 use crate::optimize::OptimizationConfig;
-use crate::session::RefinementStats;
-use qr_milp::control::SolveControl;
-use qr_milp::{LinExpr, Sense, SolveStatus, Solver, SolverOptions};
-use qr_provenance::{whatif::evaluate_refinement, AnnotatedRelation, PredicateAssignment};
+use crate::session::{
+    milp_proven, RefinementOutcome, RefinementRequest, RefinementResult, RefinementSession,
+    RefinementStats,
+};
+use crate::solver::RefinementSolver;
+use qr_milp::{LinExpr, Sense, SolveStatus, Solver};
 use std::time::Instant;
 
-/// A whole-output cardinality constraint (Erica's constraint language).
-#[derive(Debug, Clone, PartialEq)]
-pub struct OutputConstraint {
-    /// The group the constraint refers to.
-    pub group: crate::constraint::Group,
-    /// Lower or upper bound.
-    pub bound: BoundType,
-    /// The bound value.
-    pub n: usize,
-}
+/// The Erica-style whole-output baseline (Section 5.3), posed uniformly: each
+/// top-k cardinality constraint of the request must hold over the whole
+/// output, and the output size is forced to exactly k* — the paper's
+/// adjustment for emulating top-k semantics in a system without ranking.
+///
+/// Erica's only distance measure is `DIS_pred` and it has no deviation
+/// budget, so the request's `distance` and `epsilon` are ignored (constraints
+/// must hold exactly); its solver options bound the search.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct EricaSolver;
 
-/// Result of the Erica-style baseline.
-#[derive(Debug, Clone)]
-pub struct EricaResult {
-    /// The refinement found, with its predicate distance, if any exists.
-    pub best: Option<(PredicateAssignment, f64)>,
-    /// When a refinement was found: whether the solver proved it optimal.
-    /// When none was found: whether infeasibility was proven (vs. merely
-    /// running out of budget).
-    pub proven: bool,
-    /// Whether the solve was stopped by its [`SolveControl`] (cancellation
-    /// or the unified deadline) rather than reaching a terminal answer.
-    pub interrupted: bool,
-    /// Timing/size statistics.
-    pub stats: RefinementStats,
-}
-
-/// Refine the annotated query so that every output constraint holds over an
-/// output of exactly `output_size` tuples, minimising the predicate
-/// distance. Runs over already-built provenance annotations (the shared
-/// setup of a session). `control` carries the deadline and cancellation
-/// shared with the other backends; an interrupted solve reports
-/// `interrupted` (and its best incumbent) instead of running to completion.
-/// Under the node limit of `solver_options` the result may be a
-/// feasible-but-unproven refinement, or `None` when no incumbent was found.
-pub fn erica_refine_prepared(
-    annotated: &AnnotatedRelation,
-    constraints: &[OutputConstraint],
-    output_size: usize,
-    solver_options: SolverOptions,
-    control: &SolveControl,
-) -> Result<EricaResult> {
-    let start = Instant::now();
-    let query = annotated.query();
-
-    // No refinement can produce more output tuples than ~Q(D) contains.
-    if output_size > annotated.len() {
-        let stats = RefinementStats {
-            model_build_time: start.elapsed(),
-            setup_time: start.elapsed(),
-            total_time: start.elapsed(),
-            scope_size: annotated.len(),
-            lineage_classes: annotated.classes().len(),
-            ..RefinementStats::default()
-        };
-        return Ok(EricaResult {
-            best: None,
-            proven: true,
-            interrupted: false,
-            stats,
-        });
+impl RefinementSolver for EricaSolver {
+    fn label(&self, _request: &RefinementRequest) -> String {
+        "Erica-style".to_string()
     }
 
-    // Reuse the refinement model builder for expressions (1)-(3) by posing
-    // the output constraints as top-`output_size` constraints with ε = 0,
-    // then *replace* their rank-based semantics with whole-output ones by
-    // adding direct selection-count constraints and an exact size constraint.
-    // The rank machinery stays satisfiable (it constrains a superset of what
-    // Erica needs) but the binding constraints are the ones added below.
-    let card_constraints = ConstraintSet::from_constraints(
-        constraints
-            .iter()
-            .map(|c| CardinalityConstraint {
-                group: c.group.clone(),
-                k: output_size,
-                bound: c.bound,
-                n: c.n,
-            })
-            .collect(),
-    );
-    let BuiltModel {
-        mut model, vars, ..
-    } = build_model(
-        annotated,
-        &card_constraints,
-        0.0,
-        DistanceMeasure::Predicate,
-        &OptimizationConfig {
-            // Relevancy pruning is rank-based and does not apply to
-            // whole-output constraints; lineage merging and the single-bound
-            // relaxation remain valid.
-            relevancy_pruning: false,
-            lineage_merging: true,
-            single_bound_relaxation: false,
-        },
-    )?;
+    /// Refine the session's query so that every constraint holds over an
+    /// output of exactly k* tuples, minimising the predicate distance over
+    /// one pinned snapshot. The request's control interrupts the search like
+    /// any other backend's; under the node limit of its solver options the
+    /// answer may be a feasible-but-unproven refinement, or none.
+    fn solve(
+        &self,
+        session: &RefinementSession,
+        request: &RefinementRequest,
+    ) -> Result<RefinementResult> {
+        let start = Instant::now();
+        let snapshot = session.snapshot();
+        let annotated = snapshot.annotated();
+        let output_size = request.constraints.k_star();
 
-    // Exact output size (Erica's adjustment for emulating top-k).
-    let mut size_expr = LinExpr::zero();
-    for &t in &vars.scope {
-        size_expr.add_term(vars.selection[&t], 1.0);
-    }
-    model.add_constraint(
-        "erica_output_size",
-        size_expr,
-        Sense::Eq,
-        output_size as f64,
-    );
+        // No refinement can produce more output tuples than ~Q(D) contains.
+        if output_size > annotated.len() {
+            let stats = RefinementStats {
+                model_build_time: start.elapsed(),
+                setup_time: start.elapsed(),
+                total_time: start.elapsed(),
+                scope_size: annotated.len(),
+                lineage_classes: annotated.classes().len(),
+                ..RefinementStats::default()
+            };
+            return Ok(RefinementResult {
+                outcome: RefinementOutcome::from_search(None, true, false),
+                stats,
+                resume: None,
+            });
+        }
 
-    // Whole-output group constraints over the selection variables.
-    for (idx, c) in constraints.iter().enumerate() {
-        let mut expr = LinExpr::zero();
+        // Reuse the refinement model builder for expressions (1)-(3) by
+        // posing every constraint over the top-`output_size` with ε = 0, then
+        // *replace* their rank-based semantics with whole-output ones by
+        // adding direct selection-count constraints and an exact size
+        // constraint. The rank machinery stays satisfiable (it constrains a
+        // superset of what Erica needs) but the binding constraints are the
+        // ones added below.
+        let whole_output = ConstraintSet::from_constraints(
+            request
+                .constraints
+                .constraints()
+                .iter()
+                .map(|c| CardinalityConstraint {
+                    k: output_size,
+                    ..c.clone()
+                })
+                .collect(),
+        );
+        let BuiltModel {
+            mut model, vars, ..
+        } = build_model(
+            annotated,
+            &whole_output,
+            0.0,
+            DistanceMeasure::Predicate,
+            &OptimizationConfig {
+                // Relevancy pruning is rank-based and does not apply to
+                // whole-output constraints; lineage merging and the
+                // single-bound relaxation remain valid.
+                relevancy_pruning: false,
+                lineage_merging: true,
+                single_bound_relaxation: false,
+            },
+        )?;
+
+        // Exact output size (Erica's adjustment for emulating top-k).
+        let mut size_expr = LinExpr::zero();
         for &t in &vars.scope {
-            if c.group
-                .matches(annotated.schema(), &annotated.tuples()[t].row)
-            {
-                expr.add_term(vars.selection[&t], 1.0);
-            }
+            size_expr.add_term(vars.selection[&t], 1.0);
         }
-        let sense = match c.bound {
-            BoundType::Lower => Sense::Ge,
-            BoundType::Upper => Sense::Le,
-        };
-        model.add_constraint(format!("erica_group[{idx}]"), expr, sense, c.n as f64);
-    }
+        model.add_constraint(
+            "erica_output_size",
+            size_expr,
+            Sense::Eq,
+            output_size as f64,
+        );
 
-    let mut stats =
-        RefinementStats::for_model(&model, vars.scope.len(), annotated, start.elapsed());
-    let solution = Solver::new(solver_options).solve_with_control(&model, control)?;
-    stats.record_solve(solution.stats);
-    stats.total_time = start.elapsed();
-
-    // Any status with an assignment — Optimal, Feasible, or an interrupted
-    // solve carrying its incumbent — reports it through `values`.
-    let best = if !solution.values.is_empty() {
-        let built = BuiltModel {
-            model,
-            vars,
-            k_star: output_size,
-        };
-        let assignment = built.extract_assignment(&solution.values);
-        let distance = predicate_distance(query, &assignment);
-        Some((assignment, distance))
-    } else {
-        None
-    };
-    let proven = match solution.status {
-        SolveStatus::Optimal | SolveStatus::Infeasible | SolveStatus::Unbounded => true,
-        SolveStatus::Feasible | SolveStatus::LimitReached | SolveStatus::Interrupted => false,
-    };
-
-    Ok(EricaResult {
-        best,
-        proven,
-        interrupted: solution.status == SolveStatus::Interrupted,
-        stats,
-    })
-}
-
-/// Verify that an Erica refinement indeed satisfies its whole-output
-/// constraints (used in tests and the Section 5.3 comparison harness).
-pub fn satisfies_output_constraints(
-    annotated: &AnnotatedRelation,
-    assignment: &PredicateAssignment,
-    constraints: &[OutputConstraint],
-    output_size: usize,
-) -> bool {
-    let output = evaluate_refinement(annotated, assignment);
-    if output.len() != output_size {
-        return false;
-    }
-    constraints.iter().all(|c| {
-        let count = output
-            .selected
-            .iter()
-            .filter(|&&t| {
-                c.group
+        // Whole-output group constraints over the selection variables.
+        for (idx, c) in whole_output.constraints().iter().enumerate() {
+            let mut expr = LinExpr::zero();
+            for &t in &vars.scope {
+                if c.group
                     .matches(annotated.schema(), &annotated.tuples()[t].row)
-            })
-            .count();
-        match c.bound {
-            BoundType::Lower => count >= c.n,
-            BoundType::Upper => count <= c.n,
+                {
+                    expr.add_term(vars.selection[&t], 1.0);
+                }
+            }
+            let sense = match c.bound {
+                BoundType::Lower => Sense::Ge,
+                BoundType::Upper => Sense::Le,
+            };
+            model.add_constraint(format!("erica_group[{idx}]"), expr, sense, c.n as f64);
         }
-    })
+
+        let mut stats =
+            RefinementStats::for_model(&model, vars.scope.len(), annotated, start.elapsed());
+        let solution = Solver::new(request.solver_options.clone())
+            .solve_with_control(&model, &request.control)?;
+        stats.record_solve(solution.stats);
+        stats.total_time = start.elapsed();
+
+        // Any status with an assignment — Optimal, Feasible, or an
+        // interrupted solve carrying its incumbent — reports it through
+        // `values`. Erica reports `DIS_pred` whatever the request asks, and
+        // its deviation from the request's own top-k constraints.
+        let best = (!solution.values.is_empty()).then(|| {
+            let built = BuiltModel {
+                model,
+                vars,
+                k_star: output_size,
+            };
+            let assignment = built.extract_assignment(&solution.values);
+            session.describe(
+                annotated,
+                &request.constraints,
+                DistanceMeasure::Predicate,
+                output_size,
+                assignment,
+                None,
+            )
+        });
+        Ok(RefinementResult {
+            outcome: RefinementOutcome::from_search(
+                best,
+                milp_proven(solution.status),
+                solution.status == SolveStatus::Interrupted,
+            ),
+            stats,
+            // Whole-output baseline solves are one-shot; resumable
+            // checkpoints are a property of the session MILP path.
+            resume: None,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -218,63 +191,75 @@ mod tests {
     use super::*;
     use crate::constraint::Group;
     use crate::paper_example::{paper_database, scholarship_query};
-    use qr_relation::{Database, SpjQuery};
+    use qr_provenance::whatif::evaluate_refinement;
+    use qr_provenance::{AnnotatedRelation, PredicateAssignment};
 
-    /// Annotate `query` over `db` and run the baseline with default options
-    /// and no control.
-    fn whole_output_refine(
-        db: &Database,
-        query: &SpjQuery,
-        constraints: &[OutputConstraint],
-        output_size: usize,
-    ) -> Result<EricaResult> {
-        let annotated = AnnotatedRelation::build(db, query)?;
-        erica_refine_prepared(
-            &annotated,
-            constraints,
-            output_size,
-            SolverOptions::default(),
-            &SolveControl::default(),
-        )
+    /// Solve one Erica request on the paper example, with default solver
+    /// options and no control.
+    fn whole_output_refine(request: &RefinementRequest) -> (RefinementSession, RefinementResult) {
+        let session = RefinementSession::new(paper_database(), scholarship_query()).unwrap();
+        let result = session.solve_with(&EricaSolver, request).unwrap();
+        (session, result)
+    }
+
+    /// Whether `assignment`'s output has exactly k* tuples and meets every
+    /// constraint of `constraints` over all of them.
+    fn satisfies_whole_output(
+        annotated: &AnnotatedRelation,
+        assignment: &PredicateAssignment,
+        constraints: &ConstraintSet,
+    ) -> bool {
+        let output = evaluate_refinement(annotated, assignment);
+        if output.len() != constraints.k_star() {
+            return false;
+        }
+        constraints.constraints().iter().all(|c| {
+            let count = output
+                .selected
+                .iter()
+                .filter(|&&t| {
+                    c.group
+                        .matches(annotated.schema(), &annotated.tuples()[t].row)
+                })
+                .count();
+            match c.bound {
+                BoundType::Lower => count >= c.n,
+                BoundType::Upper => count <= c.n,
+            }
+        })
     }
 
     #[test]
     fn erica_finds_exact_output_size_refinement() {
-        let db = paper_database();
-        let query = scholarship_query();
         // Require an output of exactly 8 students with at least 4 women.
-        let constraints = vec![OutputConstraint {
-            group: Group::single("Gender", "F"),
-            bound: BoundType::Lower,
-            n: 4,
-        }];
-        let result = whole_output_refine(&db, &query, &constraints, 8).unwrap();
-        let (assignment, distance) = result.best.expect("a refinement exists");
-        let annotated = AnnotatedRelation::build(&db, &query).unwrap();
-        assert!(satisfies_output_constraints(
-            &annotated,
-            &assignment,
-            &constraints,
-            8
+        let request = RefinementRequest::new().with_constraint(CardinalityConstraint::at_least(
+            Group::single("Gender", "F"),
+            8,
+            4,
+        ));
+        let (session, result) = whole_output_refine(&request);
+        let refined = result.outcome.refined().expect("a refinement exists");
+        assert!(satisfies_whole_output(
+            session.snapshot().annotated(),
+            &refined.assignment,
+            &request.constraints,
         ));
         assert!(
-            distance > 0.0,
+            refined.distance > 0.0,
             "the original query returns 7 tuples, so it must be refined"
         );
     }
 
     #[test]
     fn erica_infeasible_when_size_unreachable() {
-        let db = paper_database();
-        let query = scholarship_query();
-        let constraints = vec![OutputConstraint {
-            group: Group::single("Gender", "F"),
-            bound: BoundType::Lower,
-            n: 10,
-        }];
         // Only 8 distinct female students exist in the join.
-        let result = whole_output_refine(&db, &query, &constraints, 20).unwrap();
-        assert!(result.best.is_none());
+        let request = RefinementRequest::new().with_constraint(CardinalityConstraint::at_least(
+            Group::single("Gender", "F"),
+            20,
+            10,
+        ));
+        let (_, result) = whole_output_refine(&request);
+        assert!(result.outcome.refined().is_none());
     }
 
     #[test]
@@ -283,17 +268,14 @@ mod tests {
         // excludes refinements the ranking-aware engine can use. Here the
         // ranking engine may return a query whose output has more than 6
         // tuples (only the top-6 matter), while Erica's must have exactly 6.
-        let db = paper_database();
-        let query = scholarship_query();
-        let constraints = vec![OutputConstraint {
-            group: Group::single("Gender", "F"),
-            bound: BoundType::Lower,
-            n: 3,
-        }];
-        let result = whole_output_refine(&db, &query, &constraints, 6).unwrap();
-        let (assignment, _) = result.best.expect("a refinement exists");
-        let annotated = AnnotatedRelation::build(&db, &query).unwrap();
-        let output = evaluate_refinement(&annotated, &assignment);
+        let request = RefinementRequest::new().with_constraint(CardinalityConstraint::at_least(
+            Group::single("Gender", "F"),
+            6,
+            3,
+        ));
+        let (session, result) = whole_output_refine(&request);
+        let refined = result.outcome.refined().expect("a refinement exists");
+        let output = evaluate_refinement(session.snapshot().annotated(), &refined.assignment);
         assert_eq!(output.len(), 6);
     }
 }

@@ -19,8 +19,10 @@
 //!   lists,
 //! * three optimizations shrink the program ([`optimize`], Section 4),
 //! * exhaustive-search baselines ([`naive`]) and an Erica-style whole-output
-//!   baseline ([`erica`]) reproduce the paper's comparisons (Section 5), all
-//!   selectable through one [`solver::RefinementSolver`] trait,
+//!   baseline ([`erica`]) reproduce the paper's comparisons (Section 5). They
+//!   and the MILP engine are backends of one [`RefinementSolver`] trait,
+//!   answer through [`RefinementSession::solve_with`] and return the same
+//!   [`RefinementResult`],
 //! * the whole solve path is a **concurrent refinement service**:
 //!   [`RefinementSession`] is `Send + Sync` (share it via `Arc` or solve
 //!   batches on the built-in worker pool,
@@ -118,10 +120,9 @@ pub use constraint::{BoundType, CardinalityConstraint, ConstraintSet, Group};
 pub use distance::{
     jaccard_topk_distance, kendall_topk_distance, predicate_distance, DistanceMeasure,
 };
-pub use erica::{erica_refine_prepared, EricaResult, OutputConstraint};
 pub use error::{CoreError, Result};
 pub use milp_model::{build_model, BuiltModel, ModelVariables};
-pub use naive::{naive_search_prepared, NaiveMode, NaiveOptions, NaiveResult};
+pub use naive::{NaiveMode, NaiveOptions};
 pub use optimize::OptimizationConfig;
 pub use qr_milp::control::{CancelToken, SolveControl, SolveObserver, SolveProgress};
 pub use session::{
@@ -137,7 +138,6 @@ pub mod prelude {
     pub use crate::cache::SolutionCache;
     pub use crate::constraint::{BoundType, CardinalityConstraint, ConstraintSet, Group};
     pub use crate::distance::DistanceMeasure;
-    pub use crate::erica::OutputConstraint;
     pub use crate::error::{CoreError, Result as CoreResult};
     pub use crate::naive::{NaiveMode, NaiveOptions};
     pub use crate::optimize::OptimizationConfig;

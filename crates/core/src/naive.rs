@@ -7,17 +7,21 @@
 //! candidate query on the database engine; `Naive+prov` evaluates candidates
 //! over the provenance annotations instead, skipping the DBMS round-trip.
 //! Both are exponential in the number of predicates and their domain sizes.
+//!
+//! Both run as [`NaiveSolver`], a [`RefinementSolver`] backend: a caller
+//! asks [`RefinementSession::solve_with`] and gets the same
+//! [`RefinementResult`] as from the MILP engine.
 
-use crate::constraint::ConstraintSet;
-use crate::distance::DistanceMeasure;
 use crate::error::{CoreError, Result};
 use crate::milp_model::check_epsilon;
 use crate::session::{
-    exact_distance, RefinedQuery, RefinementOutcome, RefinementResult, RefinementStats,
+    exact_distance, RefinementOutcome, RefinementRequest, RefinementResult, RefinementSession,
+    RefinementStats,
 };
-use qr_milp::control::{SolveControl, StopCondition};
-use qr_provenance::{whatif::evaluate_refinement, AnnotatedRelation, PredicateAssignment};
-use qr_relation::{evaluate, CmpOp, Database, SpjQuery};
+use crate::solver::RefinementSolver;
+use qr_milp::control::StopCondition;
+use qr_provenance::{whatif::evaluate_refinement, PredicateAssignment};
+use qr_relation::{evaluate, CmpOp};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::str::FromStr;
@@ -66,7 +70,8 @@ impl FromStr for NaiveMode {
 }
 
 /// Options of the exhaustive search. Its wall-clock budget is the
-/// request's [`SolveControl`] deadline, like every other backend's.
+/// request's [`SolveControl`](qr_milp::control::SolveControl) deadline, like
+/// every other backend's.
 #[derive(Debug, Clone)]
 pub struct NaiveOptions {
     /// Evaluation mode.
@@ -84,229 +89,216 @@ impl Default for NaiveOptions {
     }
 }
 
-/// Result of an exhaustive search.
-#[derive(Debug, Clone)]
-pub struct NaiveResult {
-    /// The best refinement found (assignment, exact distance, exact deviation).
-    pub best: Option<(PredicateAssignment, f64, f64)>,
-    /// Number of candidate refinements evaluated.
-    pub candidates_evaluated: usize,
-    /// Whether the whole refinement space was enumerated (false when the
-    /// candidate cap or the control stopped the search early).
-    pub exhausted: bool,
-    /// Whether the search was stopped by its [`SolveControl`] (cancellation
-    /// or the unified deadline) rather than by its own budget.
-    pub interrupted: bool,
-    /// Timing statistics (setup = provenance construction; solver = search).
-    pub stats: RefinementStats,
+/// Exhaustive search over the refinement space (`Naive` / `Naive+prov`),
+/// evaluating candidates either on the relational engine or on the session's
+/// provenance annotations.
+///
+/// The request's constraints, ε and distance measure apply; its MILP-specific
+/// fields (optimizations, solver options) are ignored in favour of the
+/// [`NaiveOptions`] budget carried here.
+#[derive(Debug, Clone, Default)]
+pub struct NaiveSolver {
+    /// Search budget and evaluation mode.
+    pub options: NaiveOptions,
 }
 
-impl NaiveResult {
-    /// Convert into the common [`RefinementResult`], so the exhaustive
-    /// baselines report through the same channel as the MILP engine:
-    /// `exhausted` becomes the proof flag (a completed enumeration proves
-    /// optimality of the best candidate, or infeasibility when none passed).
-    pub fn into_refinement_result(self, query: &SpjQuery) -> RefinementResult {
-        let best = self
-            .best
-            .map(|(assignment, distance, deviation)| RefinedQuery {
-                query: assignment.apply_to(query),
-                assignment,
-                distance,
-                objective: distance,
-                deviation,
-                proven_optimal: self.exhausted,
-            });
-        let outcome = if self.interrupted {
-            RefinementOutcome::Interrupted { best }
-        } else {
-            match best {
-                Some(refined) => RefinementOutcome::Refined(refined),
-                None => RefinementOutcome::NoRefinement {
-                    proven_infeasible: self.exhausted,
-                },
+impl NaiveSolver {
+    /// An exhaustive search in the given evaluation mode with default budgets.
+    #[must_use]
+    pub fn new(mode: NaiveMode) -> Self {
+        NaiveSolver {
+            options: NaiveOptions {
+                mode,
+                ..NaiveOptions::default()
+            },
+        }
+    }
+}
+
+impl RefinementSolver for NaiveSolver {
+    fn label(&self, _request: &RefinementRequest) -> String {
+        self.options.mode.to_string()
+    }
+
+    /// Enumerate every candidate over one pinned snapshot, keeping the
+    /// closest one within ε. The snapshot's database is only consulted in
+    /// [`NaiveMode::Database`], which re-evaluates every candidate on the
+    /// relational engine.
+    ///
+    /// The candidate loop polls the request's
+    /// [`SolveControl`](qr_milp::control::SolveControl): a triggered control
+    /// stops the search as [`RefinementOutcome::Interrupted`], carrying the
+    /// best candidate so far. A completed enumeration proves its answer; the
+    /// candidate cap stops the search unproven. An ε that is not finite and
+    /// non-negative is [`CoreError::InvalidInput`], as for the MILP.
+    fn solve(
+        &self,
+        session: &RefinementSession,
+        request: &RefinementRequest,
+    ) -> Result<RefinementResult> {
+        let start = Instant::now();
+        let stop = request.control.stop_condition(start);
+        let snapshot = session.snapshot();
+        let annotated = snapshot.annotated();
+        let query = session.query();
+        let constraints = &request.constraints;
+        check_epsilon(request.epsilon)?;
+        constraints.validate(annotated)?;
+        let k_star = constraints.k_star();
+        let setup_time = start.elapsed();
+
+        // Candidate choices per predicate. Setup is polled between predicates:
+        // subset enumeration is exponential in the categorical domain, so a
+        // tight deadline must be able to interrupt before the search loop is
+        // ever reached (the partial choice tables are fine to abandon — the
+        // search loop's first poll breaks immediately with `interrupted` set).
+        let mut numeric_choices: Vec<((String, CmpOp), Vec<f64>)> = Vec::new();
+        for p in &query.numeric_predicates {
+            if stop.should_stop() {
+                break;
             }
+            let mut domain = annotated.numeric_domain(&p.attribute)?;
+            if !domain.iter().any(|v| (v - p.constant).abs() < f64::EPSILON) {
+                domain.push(p.constant);
+            }
+            numeric_choices.push(((p.attribute.clone(), p.op), domain));
+        }
+        let mut categorical_choices: Vec<(String, Vec<BTreeSet<String>>)> = Vec::new();
+        for p in &query.categorical_predicates {
+            if stop.should_stop() {
+                break;
+            }
+            let domain = annotated.categorical_domain(&p.attribute)?;
+            categorical_choices.push((p.attribute.clone(), non_empty_subsets(&domain, &stop)));
+        }
+
+        // Odometer over the cartesian product of all choices.
+        let dimensions: Vec<usize> = numeric_choices
+            .iter()
+            .map(|(_, d)| d.len())
+            .chain(categorical_choices.iter().map(|(_, s)| s.len()))
+            .collect();
+        let mut counters = vec![0usize; dimensions.len()];
+
+        // The closest candidate so far, with its exact distance.
+        let mut best: Option<(PredicateAssignment, f64)> = None;
+        let mut evaluated = 0usize;
+        let mut exhausted = true;
+        let mut interrupted = false;
+
+        'search: loop {
+            if stop.should_stop() {
+                exhausted = false;
+                interrupted = true;
+                break;
+            }
+            if evaluated >= self.options.max_candidates {
+                exhausted = false;
+                break;
+            }
+
+            // Materialise the candidate assignment.
+            let mut assignment = PredicateAssignment::from_query(query);
+            for (i, (key, domain)) in numeric_choices.iter().enumerate() {
+                assignment.numeric.insert(key.clone(), domain[counters[i]]);
+            }
+            for (j, (attr, subsets)) in categorical_choices.iter().enumerate() {
+                let idx = counters[numeric_choices.len() + j];
+                assignment
+                    .categorical
+                    .insert(attr.clone(), subsets[idx].clone());
+            }
+            evaluated += 1;
+
+            // Evaluate deviation (and output size) for the candidate.
+            let (deviation, output_len) = match self.options.mode {
+                NaiveMode::Provenance => {
+                    let output = evaluate_refinement(annotated, &assignment);
+                    (
+                        constraints.deviation_of_output(annotated, &output.selected),
+                        output.len(),
+                    )
+                }
+                NaiveMode::Database => {
+                    let refined_query = assignment.apply_to(query);
+                    let result = evaluate(snapshot.db(), &refined_query)?;
+                    // Count group members in the top-k prefixes of the result.
+                    let counts: Vec<usize> = constraints
+                        .constraints()
+                        .iter()
+                        .map(|c| {
+                            result
+                                .rows()
+                                .iter()
+                                .take(c.k)
+                                .filter(|row| c.group.matches(result.schema(), row))
+                                .count()
+                        })
+                        .collect();
+                    (constraints.deviation(&counts), result.len())
+                }
+            };
+
+            if output_len >= k_star && deviation <= request.epsilon + qr_milp::tol::ABSOLUTE_GAP {
+                let dist = exact_distance(request.distance, annotated, query, &assignment, k_star);
+                let better = best
+                    .as_ref()
+                    .map(|(_, d)| dist < *d - qr_milp::tol::ZERO_TOL)
+                    .unwrap_or(true);
+                if better {
+                    best = Some((assignment, dist));
+                }
+            }
+
+            // Advance the odometer.
+            if dimensions.is_empty() {
+                break;
+            }
+            let mut pos = 0;
+            // lint: no-cancel-poll(bounded by the predicate count per advance; the enclosing 'search loop polls every candidate)
+            loop {
+                counters[pos] += 1;
+                if counters[pos] < dimensions[pos] {
+                    break;
+                }
+                counters[pos] = 0;
+                pos += 1;
+                if pos == dimensions.len() {
+                    break 'search;
+                }
+            }
+        }
+
+        let total = start.elapsed();
+        let stats = RefinementStats {
+            model_build_time: setup_time,
+            setup_time,
+            solver_time: total.saturating_sub(setup_time),
+            total_time: total,
+            scope_size: annotated.len(),
+            lineage_classes: annotated.classes().len(),
+            candidates_evaluated: evaluated,
+            interrupted,
+            ..RefinementStats::default()
         };
-        RefinementResult {
-            outcome,
-            stats: self.stats,
+        let best = best.map(|(assignment, _)| {
+            session.describe(
+                annotated,
+                constraints,
+                request.distance,
+                k_star,
+                assignment,
+                None,
+            )
+        });
+        Ok(RefinementResult {
+            outcome: RefinementOutcome::from_search(best, exhausted, interrupted),
+            stats,
             // The exhaustive baselines have no frontier to suspend; only the
             // session MILP path produces resumable checkpoints.
             resume: None,
-        }
+        })
     }
-}
-
-/// Run the exhaustive search baseline over already-built provenance
-/// annotations (the shared setup of a session). `db` is only consulted in
-/// [`NaiveMode::Database`], which re-evaluates every candidate on the
-/// relational engine.
-///
-/// `control` carries the unified deadline and cancellation: the candidate
-/// loop polls it, and a triggered control stops the search with
-/// `interrupted` set, so the outcome becomes
-/// [`RefinementOutcome::Interrupted`] carrying the best candidate so far —
-/// the same semantics as the MILP engine, instead of running to completion.
-///
-/// An `epsilon` that is not finite and non-negative is
-/// [`CoreError::InvalidInput`], as for the MILP.
-pub fn naive_search_prepared(
-    db: &Database,
-    annotated: &AnnotatedRelation,
-    constraints: &ConstraintSet,
-    epsilon: f64,
-    distance: DistanceMeasure,
-    options: &NaiveOptions,
-    control: &SolveControl,
-) -> Result<NaiveResult> {
-    let start = Instant::now();
-    let stop = control.stop_condition(start);
-    let query = annotated.query();
-    check_epsilon(epsilon)?;
-    constraints.validate(annotated)?;
-    let k_star = constraints.k_star();
-    let setup_time = start.elapsed();
-
-    // Candidate choices per predicate. Setup is polled between predicates:
-    // subset enumeration is exponential in the categorical domain, so a
-    // tight deadline must be able to interrupt before the search loop is
-    // ever reached (the partial choice tables are fine to abandon — the
-    // search loop's first poll breaks immediately with `interrupted` set).
-    let mut numeric_choices: Vec<((String, CmpOp), Vec<f64>)> = Vec::new();
-    for p in &query.numeric_predicates {
-        if stop.should_stop() {
-            break;
-        }
-        let mut domain = annotated.numeric_domain(&p.attribute)?;
-        if !domain.iter().any(|v| (v - p.constant).abs() < f64::EPSILON) {
-            domain.push(p.constant);
-        }
-        numeric_choices.push(((p.attribute.clone(), p.op), domain));
-    }
-    let mut categorical_choices: Vec<(String, Vec<BTreeSet<String>>)> = Vec::new();
-    for p in &query.categorical_predicates {
-        if stop.should_stop() {
-            break;
-        }
-        let domain = annotated.categorical_domain(&p.attribute)?;
-        categorical_choices.push((p.attribute.clone(), non_empty_subsets(&domain, &stop)));
-    }
-
-    // Odometer over the cartesian product of all choices.
-    let dimensions: Vec<usize> = numeric_choices
-        .iter()
-        .map(|(_, d)| d.len())
-        .chain(categorical_choices.iter().map(|(_, s)| s.len()))
-        .collect();
-    let mut counters = vec![0usize; dimensions.len()];
-
-    let mut best: Option<(PredicateAssignment, f64, f64)> = None;
-    let mut evaluated = 0usize;
-    let mut exhausted = true;
-    let mut interrupted = false;
-
-    'search: loop {
-        if stop.should_stop() {
-            exhausted = false;
-            interrupted = true;
-            break;
-        }
-        if evaluated >= options.max_candidates {
-            exhausted = false;
-            break;
-        }
-
-        // Materialise the candidate assignment.
-        let mut assignment = PredicateAssignment::from_query(query);
-        for (i, (key, domain)) in numeric_choices.iter().enumerate() {
-            assignment.numeric.insert(key.clone(), domain[counters[i]]);
-        }
-        for (j, (attr, subsets)) in categorical_choices.iter().enumerate() {
-            let idx = counters[numeric_choices.len() + j];
-            assignment
-                .categorical
-                .insert(attr.clone(), subsets[idx].clone());
-        }
-        evaluated += 1;
-
-        // Evaluate deviation (and output size) for the candidate.
-        let (deviation, output_len) = match options.mode {
-            NaiveMode::Provenance => {
-                let output = evaluate_refinement(annotated, &assignment);
-                (
-                    constraints.deviation_of_output(annotated, &output.selected),
-                    output.len(),
-                )
-            }
-            NaiveMode::Database => {
-                let refined_query = assignment.apply_to(query);
-                let result = evaluate(db, &refined_query)?;
-                // Count group members in the top-k prefixes of the result.
-                let counts: Vec<usize> = constraints
-                    .constraints()
-                    .iter()
-                    .map(|c| {
-                        result
-                            .rows()
-                            .iter()
-                            .take(c.k)
-                            .filter(|row| c.group.matches(result.schema(), row))
-                            .count()
-                    })
-                    .collect();
-                (constraints.deviation(&counts), result.len())
-            }
-        };
-
-        if output_len >= k_star && deviation <= epsilon + qr_milp::tol::ABSOLUTE_GAP {
-            let dist = exact_distance(distance, annotated, query, &assignment, k_star);
-            let better = best
-                .as_ref()
-                .map(|(_, d, _)| dist < *d - qr_milp::tol::ZERO_TOL)
-                .unwrap_or(true);
-            if better {
-                best = Some((assignment, dist, deviation));
-            }
-        }
-
-        // Advance the odometer.
-        if dimensions.is_empty() {
-            break;
-        }
-        let mut pos = 0;
-        // lint: no-cancel-poll(bounded by the predicate count per advance; the enclosing 'search loop polls every candidate)
-        loop {
-            counters[pos] += 1;
-            if counters[pos] < dimensions[pos] {
-                break;
-            }
-            counters[pos] = 0;
-            pos += 1;
-            if pos == dimensions.len() {
-                break 'search;
-            }
-        }
-    }
-
-    let total = start.elapsed();
-    let stats = RefinementStats {
-        model_build_time: setup_time,
-        setup_time,
-        solver_time: total.saturating_sub(setup_time),
-        total_time: total,
-        scope_size: annotated.len(),
-        lineage_classes: annotated.classes().len(),
-        candidates_evaluated: evaluated,
-        interrupted,
-        ..RefinementStats::default()
-    };
-    Ok(NaiveResult {
-        best,
-        candidates_evaluated: evaluated,
-        exhausted,
-        interrupted,
-        stats,
-    })
 }
 
 /// All non-empty subsets of a (small) domain, as value sets.
@@ -339,12 +331,13 @@ fn non_empty_subsets(domain: &[String], stop: &StopCondition) -> Vec<BTreeSet<St
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::constraint::{CardinalityConstraint, Group};
+    use crate::constraint::{CardinalityConstraint, ConstraintSet, Group};
     use crate::distance::DistanceMeasure;
     use crate::paper_example::{paper_database, scholarship_constraints, scholarship_query};
-    use crate::session::{RefinementRequest, RefinementSession};
+    use qr_relation::{Database, SpjQuery};
 
-    /// Annotate `query` over `db` and search it exhaustively, with no control.
+    /// Search `query` over `db` exhaustively through a fresh session, with
+    /// no control.
     fn exhaustive_search(
         db: &Database,
         query: &SpjQuery,
@@ -352,17 +345,16 @@ mod tests {
         epsilon: f64,
         distance: DistanceMeasure,
         options: &NaiveOptions,
-    ) -> Result<NaiveResult> {
-        let annotated = AnnotatedRelation::build(db, query)?;
-        naive_search_prepared(
-            db,
-            &annotated,
-            constraints,
-            epsilon,
-            distance,
-            options,
-            &SolveControl::default(),
-        )
+    ) -> Result<RefinementResult> {
+        let session = RefinementSession::new(db.clone(), query.clone())?;
+        let request = RefinementRequest::new()
+            .with_constraints(constraints.clone())
+            .with_epsilon(epsilon)
+            .with_distance(distance);
+        let solver = NaiveSolver {
+            options: options.clone(),
+        };
+        session.solve_with(&solver, &request)
     }
 
     #[test]
@@ -412,13 +404,16 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(prov.exhausted && dbms.exhausted);
-        assert_eq!(prov.candidates_evaluated, dbms.candidates_evaluated);
-        let (_, d1, dev1) = prov.best.expect("refinement exists");
-        let (_, d2, dev2) = dbms.best.expect("refinement exists");
-        assert!((d1 - d2).abs() < 1e-9);
-        assert_eq!(dev1, 0.0);
-        assert_eq!(dev2, 0.0);
+        assert!(prov.outcome.is_proven_terminal() && dbms.outcome.is_proven_terminal());
+        assert_eq!(
+            prov.stats.candidates_evaluated,
+            dbms.stats.candidates_evaluated
+        );
+        let prov = prov.outcome.refined().expect("refinement exists");
+        let dbms = dbms.outcome.refined().expect("refinement exists");
+        assert!((prov.distance - dbms.distance).abs() < 1e-9);
+        assert_eq!(prov.deviation, 0.0);
+        assert_eq!(dbms.deviation, 0.0);
     }
 
     #[test]
@@ -435,7 +430,7 @@ mod tests {
             &NaiveOptions::default(),
         )
         .unwrap();
-        let (_, naive_dist, _) = naive.best.expect("refinement exists");
+        let naive_dist = naive.outcome.refined().expect("refinement exists").distance;
 
         let milp = RefinementSession::new(db, query)
             .unwrap()
@@ -473,7 +468,7 @@ mod tests {
             &NaiveOptions::default(),
         )
         .unwrap();
-        let (_, naive_dist, _) = naive.best.expect("refinement exists");
+        let naive_dist = naive.outcome.refined().expect("refinement exists").distance;
         let milp = RefinementSession::new(db, query)
             .unwrap()
             .solve(
@@ -532,8 +527,13 @@ mod tests {
             &NaiveOptions::default(),
         )
         .unwrap();
-        assert!(result.exhausted);
-        assert!(result.best.is_none());
+        // An exhausted search with no candidate proves infeasibility.
+        assert!(matches!(
+            result.outcome,
+            RefinementOutcome::NoRefinement {
+                proven_infeasible: true
+            }
+        ));
     }
 
     #[test]
@@ -553,7 +553,8 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(result.candidates_evaluated, 5);
-        assert!(!result.exhausted);
+        assert_eq!(result.stats.candidates_evaluated, 5);
+        // The cap stops the enumeration short, so nothing is proven.
+        assert!(!result.outcome.is_proven_terminal());
     }
 }

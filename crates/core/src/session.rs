@@ -529,6 +529,41 @@ impl RefinementOutcome {
             RefinementOutcome::Interrupted { .. } => false,
         }
     }
+
+    /// The outcome of a finished search, for every backend: `best` is its
+    /// best refinement, `proven` says the search proved its answer (`best`
+    /// is optimal, or no refinement exists), and `interrupted` says its
+    /// [`SolveControl`] stopped it first. `best` is proven optimal exactly
+    /// when the search was proven and not interrupted.
+    pub(crate) fn from_search(
+        mut best: Option<RefinedQuery>,
+        proven: bool,
+        interrupted: bool,
+    ) -> Self {
+        if let Some(refined) = &mut best {
+            refined.proven_optimal = proven && !interrupted;
+        }
+        if interrupted {
+            return RefinementOutcome::Interrupted { best };
+        }
+        match best {
+            Some(refined) => RefinementOutcome::Refined(refined),
+            None => RefinementOutcome::NoRefinement {
+                proven_infeasible: proven,
+            },
+        }
+    }
+}
+
+/// Whether a MILP search with this status proved its answer: Optimal proves
+/// the optimum, Infeasible and Unbounded prove that no refinement exists.
+/// Feasible and LimitReached stopped at a budget, and Interrupted at the
+/// control.
+pub(crate) fn milp_proven(status: SolveStatus) -> bool {
+    matches!(
+        status,
+        SolveStatus::Optimal | SolveStatus::Infeasible | SolveStatus::Unbounded
+    )
 }
 
 /// Result of a refinement solve, common to every algorithm backend.
@@ -1082,24 +1117,22 @@ impl RefinementSession {
         // identity refinement and non-negative elsewhere (Definition 2.7), so
         // no search can do better.
         let original = PredicateAssignment::from_query(&self.query);
-        let original_output = evaluate_refinement(annotated, &original);
-        let original_deviation = request
-            .constraints
-            .deviation_of_output(annotated, &original_output.selected);
+        let (original_deviation, original_output) =
+            exact_deviation(annotated, &request.constraints, &original);
         if original_output.selected.len() >= built.k_star
             && original_deviation <= request.epsilon + qr_milp::tol::ABSOLUTE_GAP
         {
             let refined = self.describe(
-                snapshot,
-                request,
-                &built,
+                annotated,
+                &request.constraints,
+                request.distance,
+                built.k_star,
                 original,
-                0.0,
-                SolveStatus::Optimal,
+                Some(0.0),
             );
             stats.total_time = start.elapsed();
             let result = RefinementResult {
-                outcome: RefinementOutcome::Refined(refined),
+                outcome: RefinementOutcome::from_search(Some(refined), true, false),
                 stats,
                 resume: None,
             };
@@ -1214,43 +1247,25 @@ impl RefinementSession {
         stats.record_solve(solution.stats);
         stats.total_time = start.elapsed();
 
-        let outcome = match solution.status {
-            SolveStatus::Optimal | SolveStatus::Feasible => {
-                let assignment = built.extract_assignment(&solution.values);
-                let refined = self.describe(
-                    snapshot,
-                    request,
-                    built,
-                    assignment,
-                    solution.objective,
-                    solution.status,
-                );
-                RefinementOutcome::Refined(refined)
-            }
-            SolveStatus::Infeasible | SolveStatus::Unbounded => RefinementOutcome::NoRefinement {
-                proven_infeasible: true,
-            },
-            SolveStatus::LimitReached => RefinementOutcome::NoRefinement {
-                proven_infeasible: false,
-            },
-            SolveStatus::Interrupted => {
-                // The incumbent (when one exists) is a feasible refinement
-                // within ε; package it exactly like a Feasible answer, but
-                // keep the interruption visible in the outcome.
-                let best = (!solution.values.is_empty()).then(|| {
-                    let assignment = built.extract_assignment(&solution.values);
-                    self.describe(
-                        snapshot,
-                        request,
-                        built,
-                        assignment,
-                        solution.objective,
-                        solution.status,
-                    )
-                });
-                RefinementOutcome::Interrupted { best }
-            }
-        };
+        // Every status with an assignment — Optimal, Feasible, or an
+        // interrupted search carrying its incumbent — reports it through
+        // `values`.
+        let best = (!solution.values.is_empty()).then(|| {
+            let assignment = built.extract_assignment(&solution.values);
+            self.describe(
+                snapshot.annotated(),
+                &request.constraints,
+                request.distance,
+                built.k_star,
+                assignment,
+                Some(solution.objective),
+            )
+        });
+        let outcome = RefinementOutcome::from_search(
+            best,
+            milp_proven(solution.status),
+            solution.status == SolveStatus::Interrupted,
+        );
 
         // Pin the suspended search (if any) to this snapshot's version; the
         // stored request re-derives the identical model on resume. The
@@ -1403,37 +1418,32 @@ impl RefinementSession {
             .collect()
     }
 
-    /// Compute the exact distance/deviation of an assignment against one
-    /// pinned snapshot and package it.
-    fn describe(
+    /// Package `assignment` as a refinement of the session's query, against
+    /// the annotations of one pinned snapshot: its exact `measure` distance
+    /// over the top-`k_star` and its exact deviation from `constraints`.
+    /// Every backend builds its [`RefinedQuery`] here. `objective` is the
+    /// value the search minimised, or `None` when the search ranked
+    /// candidates by the exact distance itself. The refinement is unproven
+    /// until [`RefinementOutcome::from_search`] says otherwise.
+    pub(crate) fn describe(
         &self,
-        snapshot: &AnnotatedSnapshot,
-        request: &RefinementRequest,
-        built: &BuiltModel,
+        annotated: &AnnotatedRelation,
+        constraints: &ConstraintSet,
+        measure: DistanceMeasure,
+        k_star: usize,
         assignment: PredicateAssignment,
-        objective: f64,
-        status: SolveStatus,
+        objective: Option<f64>,
     ) -> RefinedQuery {
-        let annotated = snapshot.annotated();
         let refined_query = assignment.apply_to(&self.query);
-        let output = evaluate_refinement(annotated, &assignment);
-        let deviation = request
-            .constraints
-            .deviation_of_output(annotated, &output.selected);
-        let distance = exact_distance(
-            request.distance,
-            annotated,
-            &self.query,
-            &assignment,
-            built.k_star,
-        );
+        let (deviation, _) = exact_deviation(annotated, constraints, &assignment);
+        let distance = exact_distance(measure, annotated, &self.query, &assignment, k_star);
         RefinedQuery {
             assignment,
             query: refined_query,
             distance,
-            objective,
+            objective: objective.unwrap_or(distance),
             deviation,
-            proven_optimal: status == SolveStatus::Optimal,
+            proven_optimal: false,
         }
     }
 }

@@ -2,12 +2,14 @@
 //!
 //! The paper compares the MILP engine (with and without the Section 4
 //! optimizations) against two exhaustive baselines (`Naive`, `Naive+prov`)
-//! and the Erica-style whole-output baseline (Section 5.3). Each used to have
-//! a bespoke entry point with its own argument list and result type;
-//! [`RefinementSolver`] unifies them behind
-//! [`RefinementSession::solve_with`], all returning a common
-//! [`RefinementResult`], so benchmarks, examples and tests select algorithms
-//! uniformly:
+//! and the Erica-style whole-output baseline (Section 5.3). Each is a
+//! [`RefinementSolver`] — [`MilpSolver`], [`NaiveSolver`] in either mode and
+//! [`EricaSolver`] — and [`RefinementSession::solve_with`] is the one entry
+//! point for all of them. Every backend describes its answer through the
+//! session and maps its search onto one
+//! [`RefinementOutcome`](crate::session::RefinementOutcome), so all four
+//! report a refinement, a proof of infeasibility or an interruption the same
+//! way, and benchmarks, examples and tests select algorithms uniformly:
 //!
 //! ```
 //! use qr_core::paper_example::{paper_database, scholarship_constraints, scholarship_query};
@@ -28,13 +30,11 @@
 //! }
 //! ```
 
-use crate::erica::{erica_refine_prepared, OutputConstraint};
 use crate::error::Result;
-use crate::naive::{naive_search_prepared, NaiveMode, NaiveOptions};
-use crate::session::{
-    exact_deviation, RefinedQuery, RefinementOutcome, RefinementRequest, RefinementResult,
-    RefinementSession,
-};
+use crate::session::{RefinementRequest, RefinementResult, RefinementSession};
+
+pub use crate::erica::EricaSolver;
+pub use crate::naive::NaiveSolver;
 
 /// An algorithm that can answer a [`RefinementRequest`] against a prepared
 /// [`RefinementSession`], returning the common [`RefinementResult`].
@@ -51,7 +51,7 @@ use crate::session::{
 /// must be immutable or synchronized. Implementations must also honor the
 /// request's [`SolveControl`](qr_milp::control::SolveControl) — its unified
 /// deadline and cancellation — and report an interrupted solve through
-/// [`RefinementOutcome::Interrupted`].
+/// [`RefinementOutcome::Interrupted`](crate::session::RefinementOutcome::Interrupted).
 pub trait RefinementSolver: Send + Sync {
     /// Human-readable algorithm label for benchmark output (may depend on the
     /// request, e.g. the MILP label reflects the optimization configuration).
@@ -85,132 +85,11 @@ impl RefinementSolver for MilpSolver {
     }
 }
 
-/// Exhaustive search over the refinement space (`Naive` / `Naive+prov`),
-/// evaluating candidates either on the relational engine or on the session's
-/// provenance annotations.
-///
-/// The request's constraints, ε and distance measure apply; its MILP-specific
-/// fields (optimizations, solver options) are ignored in favour of the
-/// [`NaiveOptions`] budget carried here.
-#[derive(Debug, Clone, Default)]
-pub struct NaiveSolver {
-    /// Search budget and evaluation mode.
-    pub options: NaiveOptions,
-}
-
-impl NaiveSolver {
-    /// An exhaustive search in the given evaluation mode with default budgets.
-    #[must_use]
-    pub fn new(mode: NaiveMode) -> Self {
-        NaiveSolver {
-            options: NaiveOptions {
-                mode,
-                ..NaiveOptions::default()
-            },
-        }
-    }
-}
-
-impl RefinementSolver for NaiveSolver {
-    fn label(&self, _request: &RefinementRequest) -> String {
-        self.options.mode.to_string()
-    }
-
-    fn solve(
-        &self,
-        session: &RefinementSession,
-        request: &RefinementRequest,
-    ) -> Result<RefinementResult> {
-        let snapshot = session.snapshot();
-        let result = naive_search_prepared(
-            snapshot.db(),
-            snapshot.annotated(),
-            &request.constraints,
-            request.epsilon,
-            request.distance,
-            &self.options,
-            &request.control,
-        )?;
-        Ok(result.into_refinement_result(session.query()))
-    }
-}
-
-/// The Erica-style whole-output baseline (Section 5.3), posed uniformly: each
-/// top-k cardinality constraint of the request becomes a whole-output
-/// constraint, and the output size is forced to exactly k* — the paper's
-/// adjustment for emulating top-k semantics in a system without ranking.
-///
-/// Erica's only distance measure is `DIS_pred` and it has no deviation
-/// budget, so the request's `distance` and `epsilon` are ignored (constraints
-/// must hold exactly); its solver options bound the search.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EricaSolver;
-
-impl RefinementSolver for EricaSolver {
-    fn label(&self, _request: &RefinementRequest) -> String {
-        "Erica-style".to_string()
-    }
-
-    fn solve(
-        &self,
-        session: &RefinementSession,
-        request: &RefinementRequest,
-    ) -> Result<RefinementResult> {
-        let output_size = request.constraints.k_star();
-        let output_constraints: Vec<OutputConstraint> = request
-            .constraints
-            .constraints()
-            .iter()
-            .map(|c| OutputConstraint {
-                group: c.group.clone(),
-                bound: c.bound,
-                n: c.n,
-            })
-            .collect();
-        let snapshot = session.snapshot();
-        let result = erica_refine_prepared(
-            snapshot.annotated(),
-            &output_constraints,
-            output_size,
-            request.solver_options.clone(),
-            &request.control,
-        )?;
-        let best = result.best.map(|(assignment, distance)| {
-            let (deviation, _) =
-                exact_deviation(snapshot.annotated(), &request.constraints, &assignment);
-            RefinedQuery {
-                query: assignment.apply_to(session.query()),
-                assignment,
-                distance,
-                objective: distance,
-                deviation,
-                proven_optimal: result.proven,
-            }
-        });
-        let outcome = if result.interrupted {
-            RefinementOutcome::Interrupted { best }
-        } else {
-            match best {
-                Some(refined) => RefinementOutcome::Refined(refined),
-                None => RefinementOutcome::NoRefinement {
-                    proven_infeasible: result.proven,
-                },
-            }
-        };
-        Ok(RefinementResult {
-            outcome,
-            stats: result.stats,
-            // Whole-output baseline solves are one-shot; resumable
-            // checkpoints are a property of the session MILP path.
-            resume: None,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::distance::DistanceMeasure;
+    use crate::naive::NaiveMode;
     use crate::paper_example::{paper_database, scholarship_constraints, scholarship_query};
 
     fn paper_session() -> RefinementSession {

@@ -285,8 +285,9 @@ impl Solver {
         };
 
         let n = model.num_variables();
-        let control_deadline = control.deadline_from(start);
-        let lp_stop = control.stop_condition(start);
+        // The one stop check of this search: the node loop, the node LPs and
+        // the dive all poll it.
+        let stop = control.stop_condition(start);
         let root_lower: Vec<f64> = model.variables().iter().map(|v| v.lower).collect();
         let root_upper: Vec<f64> = model.variables().iter().map(|v| v.upper).collect();
 
@@ -400,7 +401,7 @@ impl Solver {
         }
 
         while let Some(node) = stack.pop() {
-            if control.is_cancelled() || control_deadline.is_some_and(|d| Instant::now() > d) {
+            if stop.should_stop() {
                 // Push the un-processed node back so the captured frontier is
                 // complete: resuming must re-see exactly the nodes this
                 // segment did not finish.
@@ -454,7 +455,7 @@ impl Solver {
                 } else {
                     None
                 };
-                let lp = solve_node_lp(&mut workspace, &lower, &upper, warm, &lp_stop, &mut stats)?;
+                let lp = solve_node_lp(&mut workspace, &lower, &upper, warm, &stop, &mut stats)?;
                 // A control stop that fires *inside* this node's LP surfaces as
                 // an iteration-limited LP. Re-pushing the node (propagated
                 // bounds, original parent basis) instead of branching it on
@@ -462,10 +463,7 @@ impl Solver {
                 // resumed segment re-solves this LP warm from the same basis and
                 // branches exactly as the uninterrupted solve would have. Only
                 // the interrupted LP's partial pivots are paid twice.
-                if lp.status == LpStatus::IterationLimit
-                    && (control.is_cancelled()
-                        || control_deadline.is_some_and(|d| Instant::now() > d))
-                {
+                if lp.status == LpStatus::IterationLimit && stop.should_stop() {
                     stack.push(Node {
                         lower,
                         upper,
@@ -598,7 +596,7 @@ impl Solver {
                                 &lower,
                                 &upper,
                                 node_basis.as_deref(),
-                                &lp_stop,
+                                &stop,
                                 &mut stats,
                             )? {
                                 incumbent = Some((obj, values));
@@ -613,9 +611,7 @@ impl Solver {
                                 if let Some(observer) = control.observer() {
                                     observer.incumbent_found(&progress_of(&stats, Some(obj)));
                                 }
-                            } else if control.is_cancelled()
-                                || control_deadline.is_some_and(|d| Instant::now() > d)
-                            {
+                            } else if stop.should_stop() {
                                 // An empty-handed dive under a tripped stop is
                                 // indistinguishable from a dive the stop aborted
                                 // mid-flight — and an aborted dive may have lost
@@ -694,8 +690,7 @@ impl Solver {
         // A control stop observed only after a node-limited or unreliable
         // exit still counts as the interruption it is.
         if limit_hit && !interrupted {
-            interrupted =
-                control.is_cancelled() || control_deadline.is_some_and(|d| Instant::now() > d);
+            interrupted = stop.should_stop();
         }
         // Checkpoint an interrupted search with open nodes: the frontier
         // moves (not copies) into the state, along with everything a later

@@ -13,7 +13,9 @@
 //! * numerical and categorical selection [`predicate`]s,
 //! * conjunctive SPJ [`SpjQuery`]s with `DISTINCT` and `ORDER BY` ([`query`]),
 //! * query evaluation including natural joins and top-k extraction ([`eval`]),
-//! * CSV import/export ([`csv`]) and SQL pretty-printing ([`sql`]).
+//! * CSV import/export ([`csv`]) and SQL pretty-printing ([`sql`]),
+//! * the paper's running example, its database and scholarship query
+//!   ([`paper_example`]).
 //!
 //! The engine is intentionally simple (row-at-a-time, hash joins) but fully
 //! deterministic: ties in the `ORDER BY` attribute are broken by the row's
@@ -66,6 +68,7 @@ pub mod database;
 pub mod delta;
 pub mod error;
 pub mod eval;
+pub mod paper_example;
 pub mod predicate;
 pub mod query;
 pub mod relation;

@@ -265,18 +265,7 @@ impl SpjQueryBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn scholarship_query() -> SpjQuery {
-        SpjQuery::builder("Students")
-            .join("Activities")
-            .select(["ID", "Gender", "Income"])
-            .distinct()
-            .numeric_predicate("GPA", CmpOp::Ge, 3.7)
-            .categorical_predicate("Activity", ["RB"])
-            .order_by("SAT", SortOrder::Descending)
-            .build()
-            .unwrap()
-    }
+    use crate::paper_example::scholarship_query;
 
     #[test]
     fn builder_produces_expected_structure() {

@@ -5,8 +5,8 @@
 //! Instances are kept deliberately small so the suite stays fast in debug
 //! builds; the full-size runs live in `qr-bench`.
 
+use query_refinement::core::exact_deviation;
 use query_refinement::core::prelude::*;
-use query_refinement::core::{erica_refine_prepared, exact_deviation};
 use query_refinement::datagen::{DatasetId, Workload};
 use query_refinement::milp::SolverOptions;
 use query_refinement::relation::prelude::*;
@@ -164,71 +164,23 @@ fn optimizations_preserve_the_optimum_on_tpch() {
 #[test]
 fn erica_baseline_respects_exact_output_size() {
     let w = tiny(DatasetId::LawStudents);
-    let constraints = vec![OutputConstraint {
-        group: Group::single("Sex", "F"),
-        bound: BoundType::Lower,
-        n: 3,
-    }];
-    let session = session_for(&w);
-    let snapshot = session.snapshot();
-    let erica = erica_refine_prepared(
-        snapshot.annotated(),
-        &constraints,
-        8,
-        bounded_solver_options(),
-        &SolveControl::new().with_time_limit(TIME_LIMIT),
-    )
-    .unwrap();
-    if let Some((assignment, _)) = erica.best {
-        let output = query_refinement::provenance::whatif::evaluate_refinement(
-            snapshot.annotated(),
-            &assignment,
-        );
-        assert_eq!(output.len(), 8);
-    }
-}
-
-#[test]
-fn erica_solver_trait_agrees_with_direct_entry_point() {
-    // The trait backend poses the request's top-k constraints as whole-output
-    // constraints with output size k*; calling the direct function with that
-    // same translation must give the same distance.
-    let w = tiny(DatasetId::Tpch);
-    let session = session_for(&w);
-    let k = 5;
+    // At least 3 women in an output of exactly 8 (k* = 8).
     let request = RefinementRequest::new()
-        .with_constraint(w.constraint_with_bound(1, k, Some(2)))
+        .with_constraint(CardinalityConstraint::at_least(
+            Group::single("Sex", "F"),
+            8,
+            3,
+        ))
         .with_solver_options(bounded_solver_options())
         .with_time_limit(TIME_LIMIT);
-    let via_trait = session.solve_with(&EricaSolver, &request).unwrap();
-    let constraint = &request.constraints.constraints()[0];
-    let direct = erica_refine_prepared(
-        session.snapshot().annotated(),
-        &[OutputConstraint {
-            group: constraint.group.clone(),
-            bound: constraint.bound,
-            n: constraint.n,
-        }],
-        k,
-        bounded_solver_options(),
-        &request.control,
-    )
-    .unwrap();
-    match (via_trait.outcome.refined(), &direct.best) {
-        (Some(refined), Some((_, distance))) => {
-            assert!(
-                (refined.distance - distance).abs() < 1e-6,
-                "trait {} vs direct {}",
-                refined.distance,
-                distance
-            );
-        }
-        (None, None) => {}
-        (trait_outcome, direct_outcome) => panic!(
-            "trait and direct Erica disagree: {:?} vs {:?}",
-            trait_outcome.is_some(),
-            direct_outcome.is_some()
-        ),
+    let session = session_for(&w);
+    let erica = session.solve_with(&EricaSolver, &request).unwrap();
+    if let Some(refined) = erica.outcome.refined() {
+        let output = query_refinement::provenance::whatif::evaluate_refinement(
+            session.snapshot().annotated(),
+            &refined.assignment,
+        );
+        assert_eq!(output.len(), 8);
     }
 }
 

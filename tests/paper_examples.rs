@@ -5,7 +5,7 @@ use query_refinement::core::paper_example::{
     paper_database, scholarship_constraints, scholarship_query,
 };
 use query_refinement::core::prelude::*;
-use query_refinement::core::{exact_distance, naive_search_prepared, DistanceMeasure as DM};
+use query_refinement::core::{exact_distance, DistanceMeasure as DM};
 use query_refinement::provenance::{
     whatif::evaluate_refinement, AnnotatedRelation, PredicateAssignment,
 };
@@ -150,24 +150,39 @@ fn theorem_2_5_instance_has_no_exact_refinement() {
         .order_by("Z", SortOrder::Descending)
         .build()
         .unwrap();
-    // Exhaustively verify that no refinement reaches 2 B-tuples in the top-3.
-    let annotated = AnnotatedRelation::build(&db, &query).unwrap();
-    let naive = naive_search_prepared(
-        &db,
-        &annotated,
-        &ConstraintSet::new().with(CardinalityConstraint::at_least(
+    // No refinement reaches 2 B-tuples in the top-3, and every backend
+    // reports that proof the same way. For the Erica-style baseline the
+    // output must hold exactly 3 tuples: Y = C and Y = D give 3 each, with
+    // one B-tuple apiece, and Y in {C, D} gives 6.
+    let session = RefinementSession::new(db, query).unwrap();
+    let request = RefinementRequest::new()
+        .with_constraint(CardinalityConstraint::at_least(
             Group::single("X", "B"),
             3,
             2,
-        )),
-        0.0,
-        DistanceMeasure::Predicate,
-        &NaiveOptions::default(),
-        &SolveControl::default(),
-    )
-    .unwrap();
-    assert!(naive.exhausted);
-    assert!(naive.best.is_none());
+        ))
+        .with_epsilon(0.0)
+        .with_distance(DistanceMeasure::Predicate);
+    let backends: Vec<Box<dyn RefinementSolver>> = vec![
+        Box::new(MilpSolver),
+        Box::new(NaiveSolver::new(NaiveMode::Database)),
+        Box::new(NaiveSolver::new(NaiveMode::Provenance)),
+        Box::new(EricaSolver),
+    ];
+    for backend in &backends {
+        let result = session.solve_with(backend.as_ref(), &request).unwrap();
+        assert!(
+            matches!(
+                result.outcome,
+                RefinementOutcome::NoRefinement {
+                    proven_infeasible: true
+                }
+            ),
+            "{}: {:?}",
+            backend.label(&request),
+            result.outcome
+        );
+    }
 }
 
 #[test]

@@ -719,3 +719,22 @@ fn shutdown_drains_in_flight_solves_with_replies() {
         assert!(matches!(probe.read(&mut buf), Ok(0) | Err(_)));
     }
 }
+
+/// Drain wakes an accept thread that is blocked with nothing to accept:
+/// `join` on a server that never saw a connection returns promptly. The
+/// join runs on a helper thread, so a lost wake fails the test instead of
+/// hanging it.
+#[test]
+fn join_returns_promptly_on_a_server_that_never_accepted() {
+    let server = start(ServerConfig::default()).expect("bind");
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let joiner = std::thread::spawn(move || {
+        server.join();
+        let _ = done_tx.send(());
+    });
+    assert!(
+        done_rx.recv_timeout(Duration::from_secs(2)).is_ok(),
+        "join did not return within 2 s"
+    );
+    joiner.join().expect("join thread");
+}

@@ -21,15 +21,22 @@
 //!    solver stops within one cancellation-poll interval instead of burning
 //!    the queue's time on an answer nobody will read.
 //!
+//! The accept thread blocks in `accept`, and idle workers block on the queue's
+//! condition variable, so a connection or a job is picked up the moment it
+//! arrives.
+//!
 //! ## Drain
 //!
-//! Shutdown (wire op or [`ServerHandle::shutdown`]) stops the accept loop,
-//! cancels every registered in-flight token (queued jobs included), and
-//! wakes the workers. Workers keep popping until the queue is empty — every
-//! admitted job gets exactly one reply, most of them `Interrupted` responses
-//! produced nearly instantly by their cancelled tokens — then exit, and the
-//! accept thread joins the connection threads so buffered responses are
-//! flushed before [`ServerHandle::join`] returns.
+//! Shutdown (wire op or [`ServerHandle::shutdown`]) sets the drain flag under
+//! the queue lock, cancels every registered in-flight token (queued jobs
+//! included), and wakes the workers. It then opens and drops one connection
+//! to the listener, which returns the accept thread from `accept`; the accept
+//! loop sees the flag and stops before it serves that connection. Workers
+//! keep popping until the queue is empty — every admitted job gets exactly
+//! one reply, most of them `Interrupted` responses produced nearly instantly
+//! by their cancelled tokens — then exit, and the accept thread joins the
+//! connection threads so buffered responses are flushed before
+//! [`ServerHandle::join`] returns.
 
 use crate::metrics::Metrics;
 use crate::pool::SessionPool;
@@ -43,14 +50,18 @@ use qr_core::{
 };
 use std::collections::VecDeque;
 use std::io::{ErrorKind as IoKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How often blocked loops re-check cancellation/shutdown.
+/// How often a connection thread re-checks shutdown, its per-line read
+/// budget and its client's liveness while it reads a request line or waits
+/// for a reply. Neither wait adds latency: a byte or a reply ends it at once.
+/// It also paces the accept loop's retries after an `accept` error, and
+/// bounds drain's wake-up connect.
 const POLL: Duration = Duration::from_millis(25);
 
 /// Server tuning knobs.
@@ -133,6 +144,9 @@ struct Job {
 /// State shared by the accept loop, connection threads and workers.
 pub struct Shared {
     config: ServerConfig,
+    /// Where drain connects to wake the accept thread: the bound address,
+    /// with an unspecified IP replaced by loopback.
+    wake_addr: SocketAddr,
     queue: Mutex<VecDeque<Job>>,
     queue_cv: Condvar,
     shutdown: AtomicBool,
@@ -159,14 +173,24 @@ impl Shared {
 
     /// Trigger drain: stop accepting, cancel every in-flight token, clear
     /// the resume table (a draining server never resurrects a solve), wake
-    /// the workers. Idempotent.
+    /// the workers and the accept thread. Idempotent.
     pub fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
+        {
+            // Set under the queue lock: a worker checks the flag under this
+            // lock before it waits, so it either sees the flag or is already
+            // waiting when `notify_all` below wakes it.
+            let _queue = lock_or_recover(&self.queue);
+            self.shutdown.store(true, Ordering::Release);
+        }
         for (_, token) in lock_or_recover(&self.active).iter() {
             token.cancel();
         }
         self.resume_table.clear();
         self.queue_cv.notify_all();
+        // Return the accept thread from `accept`. A failed connect is
+        // harmless: a listener whose backlog is full already has a
+        // connection for `accept` to return.
+        let _ = TcpStream::connect_timeout(&self.wake_addr, POLL);
     }
 
     /// Admission control: returns the reply channel for an accepted job, or
@@ -295,10 +319,17 @@ impl ServerHandle {
 /// Bind, spawn the accept loop and workers, and return immediately.
 pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
+    let mut wake_addr = addr;
+    if wake_addr.ip().is_unspecified() {
+        wake_addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
 
     let shared = Arc::new(Shared {
+        wake_addr,
         pool: SessionPool::new(config.pool_capacity),
         resume_table: ResumeTable::new(config.resume_capacity, config.resume_ttl),
         metrics: Metrics::new(),
@@ -333,13 +364,17 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
     })
 }
 
+/// Serve connections until drain. `accept` blocks; drain's self-connect
+/// returns it, and the flag check then stops the loop before that connection
+/// is counted or served.
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     let mut connections: Vec<JoinHandle<()>> = Vec::new();
     loop {
+        let accepted = listener.accept();
         if shared.should_stop() {
             break;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
                 shared.metrics.connections.fetch_add(1, Ordering::Relaxed);
                 let shared = Arc::clone(shared);
@@ -350,9 +385,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                     connections.push(handle);
                 }
             }
-            Err(e) if matches!(e.kind(), IoKind::WouldBlock | IoKind::TimedOut) => {
-                std::thread::sleep(POLL);
-            }
+            // A persistent error (EMFILE, say) must not spin the loop.
             Err(_) => std::thread::sleep(POLL),
         }
         connections.retain(|h| !h.is_finished());
@@ -607,14 +640,12 @@ fn worker_loop(shared: &Arc<Shared>) {
                 if shared.should_stop() {
                     break None;
                 }
-                let (guard, _) = shared
+                // `admit` notifies after each push, and drain sets the flag
+                // under this lock before it notifies every worker.
+                queue = shared
                     .queue_cv
-                    .wait_timeout(queue, POLL)
-                    .unwrap_or_else(|p| {
-                        let (guard, timeout) = p.into_inner();
-                        (guard, timeout)
-                    });
-                queue = guard;
+                    .wait(queue)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         };
         let Some(job) = job else {

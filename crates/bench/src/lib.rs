@@ -75,7 +75,8 @@ pub fn benchmark_request(
 pub struct ExperimentRow {
     /// Dataset label (Astronauts, Law Students, MEPS, TPC-H).
     pub dataset: String,
-    /// Algorithm label (MILP, MILP+opt, Naive, Naive+prov, ...).
+    /// Algorithm label (MILP, MILP+opt, Naive, Naive+prov, ...), suffixed
+    /// " (timeout)" when the solve stopped at its budget unproven.
     pub algorithm: String,
     /// Distance measure label (QD, JAC, KEN) or "-".
     pub distance: String,
@@ -115,7 +116,9 @@ impl ExperimentRow {
         )
     }
 
-    /// Build a row from a unified solve result.
+    /// Build a row from a unified solve result. An answer the solve did not
+    /// prove (it stopped at its deadline or node budget) gets " (timeout)"
+    /// appended to its algorithm label.
     pub fn from_result(
         dataset: impl Into<String>,
         algorithm: impl Into<String>,
@@ -127,9 +130,13 @@ impl ExperimentRow {
             Some(r) => (true, r.distance, r.deviation),
             None => (false, f64::NAN, f64::NAN),
         };
+        let mut algorithm = algorithm.into();
+        if timed_out(&result.outcome) {
+            algorithm.push_str(" (timeout)");
+        }
         ExperimentRow {
             dataset: dataset.into(),
-            algorithm: algorithm.into(),
+            algorithm,
             distance: distance.to_string(),
             parameter: parameter.into(),
             setup_seconds: result.stats.setup_time.as_secs_f64(),
@@ -208,13 +215,9 @@ pub fn run_naive(
     result
         .stats
         .charge_annotation(session.setup_stats().annotation_time);
-    let mut algorithm = solver.label(&request);
-    if timed_out(&result.outcome) {
-        algorithm.push_str(" (timeout)");
-    }
     ExperimentRow::from_result(
         workload.id.label(),
-        algorithm,
+        solver.label(&request),
         request.distance,
         parameter,
         &result,
@@ -292,6 +295,41 @@ mod tests {
         let text = row.render();
         assert!(text.starts_with("Astronauts\tMILP+opt\tQD\tk=10"));
         assert!(ExperimentRow::header().contains("total_s"));
+    }
+
+    #[test]
+    fn unproven_answers_are_labelled() {
+        let row = |outcome| {
+            let result = RefinementResult {
+                outcome,
+                stats: qr_core::RefinementStats::default(),
+                resume: None,
+            };
+            ExperimentRow::from_result(
+                "TPC-H",
+                "MILP+opt",
+                DistanceMeasure::Predicate,
+                "-",
+                &result,
+            )
+            .algorithm
+        };
+        assert_eq!(
+            row(RefinementOutcome::Interrupted { best: None }),
+            "MILP+opt (timeout)"
+        );
+        assert_eq!(
+            row(RefinementOutcome::NoRefinement {
+                proven_infeasible: false
+            }),
+            "MILP+opt (timeout)"
+        );
+        assert_eq!(
+            row(RefinementOutcome::NoRefinement {
+                proven_infeasible: true
+            }),
+            "MILP+opt"
+        );
     }
 
     #[test]

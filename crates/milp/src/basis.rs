@@ -8,8 +8,8 @@
 //! are basic and at which bound every nonbasic column rests — without storing
 //! any factorization. [`crate::simplex::LpWorkspace`] restores a snapshot by
 //! LU-factorizing its basic set directly from the sparse constraint matrix
-//! (`O(nnz)` — see [`crate::lu`]) and then runs the bound-flip dual simplex
-//! ([`crate::dual`]) to restore primal feasibility.
+//! (a sparse elimination — see [`crate::lu`]) and then runs the bound-flip
+//! dual simplex ([`crate::dual`]) to restore primal feasibility.
 
 /// Status of one column in a simplex basis.
 ///

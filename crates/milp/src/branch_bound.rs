@@ -16,7 +16,7 @@
 //! [`crate::simplex::LpWorkspace`] is shared by all node solves (the sparse
 //! matrix is extracted once, the basis factorization and scratch buffers are
 //! reused), and the rounding-dive heuristic reuses the current node's basis
-//! the same way. Restoring a sibling's basis is an `O(nnz)` LU
+//! the same way. Restoring a sibling's basis is a sparse LU
 //! refactorization of the sparse matrix — not a tableau re-pivot — and
 //! refactorization cadence is owned by the factorization's stability policy
 //! ([`crate::factor`]), not a fixed per-node counter. Warm solves that fail
@@ -27,7 +27,7 @@ use crate::basis::Basis;
 use crate::control::{SolveControl, SolveProgress, StopCondition};
 use crate::error::{MilpError, Result};
 use crate::model::{Model, VarType};
-use crate::propagate::{box_objective_bound, propagate, PropagationResult};
+use crate::propagate::{box_objective_bound, integrality_mask, propagate, PropagationResult};
 use crate::resume::{model_fingerprint, FrontierNode as Node, ResumeState};
 use crate::simplex::{LpSolution, LpStatus, LpWorkspace};
 use crate::solution::{Solution, SolveStats, SolveStatus};
@@ -291,13 +291,8 @@ impl Solver {
         let root_lower: Vec<f64> = model.variables().iter().map(|v| v.lower).collect();
         let root_upper: Vec<f64> = model.variables().iter().map(|v| v.upper).collect();
 
-        let integer_vars: Vec<usize> = model
-            .variables()
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| matches!(v.var_type, VarType::Integer | VarType::Binary))
-            .map(|(i, _)| i)
-            .collect();
+        let integral = integrality_mask(model);
+        let integer_vars: Vec<usize> = (0..n).filter(|&i| integral[i]).collect();
         // The structure-aware dive fixes integer variables tier by tier in
         // descending branch-priority order (decision variables first, the
         // follower variables they imply last), re-solving the relaxation
@@ -435,7 +430,13 @@ impl Solver {
 
                 // Node presolve: bound propagation.
                 if opts.use_propagation {
-                    match propagate(model, &mut lower, &mut upper, PROPAGATION_PASSES) {
+                    match propagate(
+                        &workspace,
+                        &integral,
+                        &mut lower,
+                        &mut upper,
+                        PROPAGATION_PASSES,
+                    ) {
                         PropagationResult::Infeasible => break 'processed,
                         PropagationResult::Consistent => {}
                     }
@@ -590,6 +591,7 @@ impl Solver {
                             if let Some((obj, values)) = self.structure_dive(
                                 model,
                                 &mut workspace,
+                                &integral,
                                 &integer_vars,
                                 &priority_tiers,
                                 &lp_values,
@@ -763,6 +765,7 @@ impl Solver {
         &self,
         model: &Model,
         workspace: &mut LpWorkspace,
+        integral: &[bool],
         integer_vars: &[usize],
         priority_tiers: &[Vec<usize>],
         lp_values: &[f64],
@@ -785,7 +788,7 @@ impl Solver {
         for (tier_idx, tier) in priority_tiers.iter().enumerate() {
             fix_rounded(tier, &values, &mut lo, &mut up);
             if opts.use_propagation
-                && propagate(model, &mut lo, &mut up, PROPAGATION_PASSES)
+                && propagate(workspace, integral, &mut lo, &mut up, PROPAGATION_PASSES)
                     == PropagationResult::Infeasible
             {
                 return Ok(None);
@@ -804,7 +807,7 @@ impl Solver {
                     &mut up,
                 );
                 if opts.use_propagation
-                    && propagate(model, &mut lo, &mut up, PROPAGATION_PASSES)
+                    && propagate(workspace, integral, &mut lo, &mut up, PROPAGATION_PASSES)
                         == PropagationResult::Infeasible
                 {
                     return Ok(None);

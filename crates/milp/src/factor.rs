@@ -19,9 +19,12 @@
 //! ([`EtaUpdate::Refactor`]): a too-small pivot in `α` (absolutely, or
 //! relative to the largest entry of `α`), a full eta file (`MAX_ETAS` etas),
 //! or an eta file holding more than `ETA_FILL_FACTOR` times the LU factors'
-//! nonzeros all force a fresh Markowitz factorization — which is `O(nnz)` on
-//! these bases, cheap enough to treat as a first-class operation rather than
-//! a last resort. Every basis, whatever its size, runs this one kernel.
+//! nonzeros all force a fresh Markowitz factorization. That costs the
+//! elimination work on the factors' nonzeros plus an `m / 64`-word bitset
+//! scan per elimination step (see [`crate::lu`]); it is treated as a
+//! first-class operation rather than a last resort, although at the
+//! `search` benchmark's scale it still takes about a fifth of solver time.
+//! Every basis, whatever its size, runs this one kernel.
 
 use crate::lu::{LuFactors, LuScratch};
 use crate::tol::{ETA_DROP_TOL, ETA_PIVOT_TOL, ETA_REL_PIVOT_TOL};

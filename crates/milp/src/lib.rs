@@ -16,7 +16,7 @@
 //!   product-form eta updates with a stability-triggered refactorization
 //!   policy ([`factor`]). Cold solves run a two-phase primal method from the
 //!   all-logical basis; warm solves restore a snapshotted basis ([`basis`])
-//!   by refactorizing it straight from the sparse matrix — `O(nnz)` — and
+//!   by refactorizing it straight from the sparse matrix ([`lu`]) and
 //!   repair branched bounds with a bound-flipping dual simplex ([`dual`]),
 //!   skipping phase 1 entirely,
 //! * interval-arithmetic bound propagation used as a presolve and at every

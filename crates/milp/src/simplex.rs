@@ -25,7 +25,7 @@
 //!   over the column range) by devex, with the same anti-cycling ladder as
 //!   before: randomised pricing, cost perturbation, Bland's rule,
 //! * a **warm** solve ([`LpWorkspace::solve`] with a [`Basis`]) refactorizes
-//!   `B` directly from the sparse matrix — `O(nnz)`, replacing the dense
+//!   `B` directly from the sparse matrix ([`crate::lu`]), replacing the dense
 //!   path's per-column tableau re-pivoting — and runs the bound-flipping
 //!   dual simplex ([`crate::dual`]) to repair the (few) bound violations a
 //!   branch introduces, skipping phase 1 entirely. A first child reuses the
@@ -258,6 +258,22 @@ impl LpWorkspace {
         self.matrix.nnz() - self.n_rows
     }
 
+    /// Row `i`'s structural entries as parallel `(variables, coefficients)`
+    /// slices: the CSR row without its logical and artificial columns, which
+    /// sort after every structural column. Variables ascend and no
+    /// coefficient is zero, as in the model's [`crate::expr::LinExpr`].
+    pub(crate) fn structural_row(&self, i: usize) -> (&[usize], &[f64]) {
+        let (cols, vals) = self.matrix.row(i);
+        let end = cols.len() - 2;
+        debug_assert!(cols[end] == self.n_struct + i && cols[end + 1] == self.core_cols + i);
+        (&cols[..end], &vals[..end])
+    }
+
+    /// Row `i`'s sense and right-hand side.
+    pub(crate) fn row_sense_rhs(&self, i: usize) -> (Sense, f64) {
+        (self.senses[i], self.rhs[i])
+    }
+
     /// Current position of the rotating partial-pricing window. Captured into
     /// a [`ResumeState`](crate::resume::ResumeState) so a resumed search
     /// prices columns in the same order the uninterrupted solve would have —
@@ -384,7 +400,7 @@ impl LpWorkspace {
     /// basic sets agree (a first-child warm start then pays nothing). Any
     /// anomaly on that reused factorization — dual stall, an infeasibility
     /// certificate, a failed verification, numerical trouble — earns one
-    /// retry from a *fresh* `O(nnz)` refactorization of the sparse matrix
+    /// retry from a *fresh* refactorization of the sparse matrix
     /// before the cold fallback (and an infeasibility verdict is only ever
     /// trusted from a freshly refactorized basis).
     fn try_warm(
@@ -444,7 +460,7 @@ impl LpWorkspace {
         self.basis_valid = false;
         if !reuse {
             // Restore the snapshot by refactorizing B straight from the
-            // sparse matrix: O(nnz), no tableau re-pivoting.
+            // sparse matrix, no tableau re-pivoting.
             self.basis.clear();
             for (j, s) in target.statuses().iter().enumerate() {
                 if s.is_basic() {

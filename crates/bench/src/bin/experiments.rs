@@ -28,8 +28,8 @@
 //! predicate/jaccard/kendall, case-insensitive).
 //!
 //! `--threads N` answers each session's request batch on N worker threads
-//! through the parallel batch API (`solve_batch_parallel` /
-//! `sweep_epsilon_parallel`) for the per-session sweeps (Figures 4–6).
+//! through the session's batch API (`solve_batch` / `sweep_epsilon`) for the
+//! per-session sweeps (Figures 4–6).
 //! Results are identical to the sequential run — only wall-clock changes —
 //! so the reproduced series stay comparable.
 
@@ -231,7 +231,7 @@ fn fig3(workloads: &[Workload], quick: bool, distances: &[DistanceMeasure]) {
     }
 }
 
-/// Answer a session's request grid as one batch on the parallel batch API
+/// Answer a session's request grid as one batch on the session's batch API
 /// (sequential when `threads == 1`) and print one row per entry, labelled by
 /// the grid's swept-parameter strings. Shared by the per-session figures.
 fn run_session_batch(
@@ -242,7 +242,7 @@ fn run_session_batch(
 ) {
     let requests: Vec<_> = grid.iter().map(|(_, _, r)| r.clone()).collect();
     let results = session
-        .solve_batch_parallel(&requests, threads)
+        .solve_batch(&requests, threads)
         .expect("engine run does not error");
     for ((parameter, distance, _), result) in grid.iter().zip(&results) {
         let row = ExperimentRow::from_result(

@@ -42,10 +42,7 @@ pub const BENCHMARK_TIME_LIMIT: Duration = Duration::from_secs(60);
 /// Solver options used throughout the benchmark: a node budget on top of
 /// the request's [`BENCHMARK_TIME_LIMIT`].
 pub fn benchmark_solver_options() -> SolverOptions {
-    SolverOptions {
-        max_nodes: 20_000,
-        ..SolverOptions::default()
-    }
+    SolverOptions { max_nodes: 20_000 }
 }
 
 /// Prepare a session for a workload (annotation happens here, once).
@@ -205,30 +202,17 @@ pub fn run_naive(
     budget: Duration,
     parameter: impl Into<String>,
 ) -> ExperimentRow {
-    let solver = NaiveSolver::new(mode);
     let request = benchmark_request(constraints, epsilon, distance, OptimizationConfig::all())
         .with_time_limit(budget);
-    let session = session_for(workload);
-    let mut result = session
-        .solve_with(&solver, &request)
-        .expect("naive search does not error");
-    result
-        .stats
-        .charge_annotation(session.setup_stats().annotation_time);
-    ExperimentRow::from_result(
-        workload.id.label(),
-        solver.label(&request),
-        request.distance,
-        parameter,
-        &result,
-    )
+    run_solver(workload, &NaiveSolver::new(mode), &request, parameter)
 }
 
 /// Sweep ε through one session (Figure 5's access pattern): annotation is
 /// paid once by the session, and each row reports only its per-request
-/// times. With `threads > 1` the sweep runs on the session's internal worker
-/// pool ([`RefinementSession::sweep_epsilon_parallel`]) — same results, same
-/// order. Returns the shared annotation seconds alongside the rows.
+/// times. The sweep runs on `threads` of the session's worker threads
+/// ([`RefinementSession::sweep_epsilon`]) — the same results in the same
+/// order for every thread count. Returns the shared annotation seconds
+/// alongside the rows.
 pub fn run_epsilon_sweep(
     workload: &Workload,
     constraints: &ConstraintSet,
@@ -240,7 +224,7 @@ pub fn run_epsilon_sweep(
     let session = session_for(workload);
     let base = benchmark_request(constraints, 0.0, distance, config);
     let results = session
-        .sweep_epsilon_parallel(&base, epsilons, threads.max(1))
+        .sweep_epsilon(&base, epsilons, threads)
         .expect("epsilon sweep does not error");
     let rows = epsilons
         .iter()

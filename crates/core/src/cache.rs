@@ -73,9 +73,12 @@ impl CacheKey {
         // The constraint set, distance measure and optimization config all
         // derive `Debug` with total value coverage; hashing the rendering
         // gives a canonical family id without imposing `Hash` on f64-bearing
-        // types. Collisions are theoretically possible but only cost a
-        // wasted warm hint (revalidated) — never a wrong memo, because the
-        // full key is re-compared on every hit.
+        // types. Nothing compares the requests themselves: a hit needs only
+        // an equal 64-bit family hash, version and ε. Two families whose
+        // renderings collide in the hash would share memos (one would be
+        // served the other's answer) and warm hints (which the solver
+        // re-validates); for any two distinct families that happens with
+        // probability about 2^-64.
         format!("{:?}", request.constraints).hash(&mut hasher);
         format!("{:?}", request.distance).hash(&mut hasher);
         format!("{:?}", request.optimizations).hash(&mut hasher);

@@ -71,7 +71,6 @@ impl RefinementSolver for EricaSolver {
                 setup_time: start.elapsed(),
                 total_time: start.elapsed(),
                 scope_size: annotated.len(),
-                lineage_classes: annotated.classes().len(),
                 ..RefinementStats::default()
             };
             return Ok(RefinementResult {
@@ -145,8 +144,7 @@ impl RefinementSolver for EricaSolver {
             model.add_constraint(format!("erica_group[{idx}]"), expr, sense, c.n as f64);
         }
 
-        let mut stats =
-            RefinementStats::for_model(&model, vars.scope.len(), annotated, start.elapsed());
+        let mut stats = RefinementStats::for_model(&model, vars.scope.len(), start.elapsed());
         let solution = Solver::new(request.solver_options.clone())
             .solve_with_control(&model, &request.control)?;
         stats.record_solve(solution.stats);

@@ -26,7 +26,7 @@
 //! * the whole solve path is a **concurrent refinement service**:
 //!   [`RefinementSession`] is `Send + Sync` (share it via `Arc` or solve
 //!   batches on the built-in worker pool,
-//!   [`RefinementSession::solve_batch_parallel`]), every backend honors one
+//!   [`RefinementSession::solve_batch`]), every backend honors one
 //!   deadline and cooperative cancellation through a [`SolveControl`], and
 //!   interrupted solves return [`RefinementOutcome::Interrupted`] with their
 //!   best incumbent and full statistics. A [`SolveObserver`] streams
@@ -80,7 +80,7 @@
 //!
 //! let session = RefinementSession::new(paper_database(), scholarship_query()).unwrap();
 //! let base = RefinementRequest::new().with_constraints(scholarship_constraints());
-//! for result in session.sweep_epsilon(&base, &[0.0, 0.25, 0.5]).unwrap() {
+//! for result in session.sweep_epsilon(&base, &[0.0, 0.25, 0.5], 1).unwrap() {
 //!     // every per-request stat shows zero annotation time ...
 //!     assert!(result.stats.annotation_time.is_zero());
 //! }
@@ -122,7 +122,7 @@ pub use distance::{
 };
 pub use error::{CoreError, Result};
 pub use milp_model::{build_model, BuiltModel, ModelVariables};
-pub use naive::{NaiveMode, NaiveOptions};
+pub use naive::NaiveMode;
 pub use optimize::OptimizationConfig;
 pub use qr_milp::control::{CancelToken, SolveControl, SolveObserver, SolveProgress};
 pub use session::{
@@ -139,7 +139,7 @@ pub mod prelude {
     pub use crate::constraint::{BoundType, CardinalityConstraint, ConstraintSet, Group};
     pub use crate::distance::DistanceMeasure;
     pub use crate::error::{CoreError, Result as CoreResult};
-    pub use crate::naive::{NaiveMode, NaiveOptions};
+    pub use crate::naive::NaiveMode;
     pub use crate::optimize::OptimizationConfig;
     pub use crate::session::{
         AnnotatedSnapshot, Mutation, RefinedQuery, RefinementOutcome, RefinementRequest,

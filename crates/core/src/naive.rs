@@ -69,55 +69,26 @@ impl FromStr for NaiveMode {
     }
 }
 
-/// Options of the exhaustive search. Its wall-clock budget is the
-/// request's [`SolveControl`](qr_milp::control::SolveControl) deadline, like
-/// every other backend's.
-#[derive(Debug, Clone)]
-pub struct NaiveOptions {
-    /// Evaluation mode.
-    pub mode: NaiveMode,
-    /// Hard cap on the number of candidates evaluated.
-    pub max_candidates: usize,
-}
-
-impl Default for NaiveOptions {
-    fn default() -> Self {
-        NaiveOptions {
-            mode: NaiveMode::Provenance,
-            max_candidates: 2_000_000,
-        }
-    }
-}
+/// Hard cap on the number of candidates one exhaustive search evaluates.
+const MAX_CANDIDATES: usize = 2_000_000;
 
 /// Exhaustive search over the refinement space (`Naive` / `Naive+prov`),
 /// evaluating candidates either on the relational engine or on the session's
 /// provenance annotations.
 ///
-/// The request's constraints, ε and distance measure apply; its MILP-specific
-/// fields (optimizations, solver options) are ignored in favour of the
-/// [`NaiveOptions`] budget carried here.
-#[derive(Debug, Clone, Default)]
+/// The request's constraints, ε, distance measure and
+/// [`SolveControl`](qr_milp::control::SolveControl) deadline apply; its
+/// MILP-specific fields (optimizations, solver options) are ignored. A
+/// search evaluates at most 2,000,000 candidates.
+#[derive(Debug, Clone)]
 pub struct NaiveSolver {
-    /// Search budget and evaluation mode.
-    pub options: NaiveOptions,
-}
-
-impl NaiveSolver {
-    /// An exhaustive search in the given evaluation mode with default budgets.
-    #[must_use]
-    pub fn new(mode: NaiveMode) -> Self {
-        NaiveSolver {
-            options: NaiveOptions {
-                mode,
-                ..NaiveOptions::default()
-            },
-        }
-    }
+    /// Evaluation mode.
+    pub mode: NaiveMode,
 }
 
 impl RefinementSolver for NaiveSolver {
     fn label(&self, _request: &RefinementRequest) -> String {
-        self.options.mode.to_string()
+        self.mode.to_string()
     }
 
     /// Enumerate every candidate over one pinned snapshot, keeping the
@@ -135,6 +106,25 @@ impl RefinementSolver for NaiveSolver {
         &self,
         session: &RefinementSession,
         request: &RefinementRequest,
+    ) -> Result<RefinementResult> {
+        self.search(session, request, MAX_CANDIDATES)
+    }
+}
+
+impl NaiveSolver {
+    /// An exhaustive search in the given evaluation mode.
+    #[must_use]
+    pub fn new(mode: NaiveMode) -> Self {
+        NaiveSolver { mode }
+    }
+
+    /// The exhaustive search behind [`RefinementSolver::solve`], stopping
+    /// unproven after `max_candidates` candidates.
+    fn search(
+        &self,
+        session: &RefinementSession,
+        request: &RefinementRequest,
+        max_candidates: usize,
     ) -> Result<RefinementResult> {
         let start = Instant::now();
         let stop = request.control.stop_condition(start);
@@ -192,7 +182,7 @@ impl RefinementSolver for NaiveSolver {
                 interrupted = true;
                 break;
             }
-            if evaluated >= self.options.max_candidates {
+            if evaluated >= max_candidates {
                 exhausted = false;
                 break;
             }
@@ -211,7 +201,7 @@ impl RefinementSolver for NaiveSolver {
             evaluated += 1;
 
             // Evaluate deviation (and output size) for the candidate.
-            let (deviation, output_len) = match self.options.mode {
+            let (deviation, output_len) = match self.mode {
                 NaiveMode::Provenance => {
                     let output = evaluate_refinement(annotated, &assignment);
                     (
@@ -276,7 +266,6 @@ impl RefinementSolver for NaiveSolver {
             solver_time: total.saturating_sub(setup_time),
             total_time: total,
             scope_size: annotated.len(),
-            lineage_classes: annotated.classes().len(),
             candidates_evaluated: evaluated,
             interrupted,
             ..RefinementStats::default()
@@ -344,17 +333,14 @@ mod tests {
         constraints: &ConstraintSet,
         epsilon: f64,
         distance: DistanceMeasure,
-        options: &NaiveOptions,
+        mode: NaiveMode,
     ) -> Result<RefinementResult> {
         let session = RefinementSession::new(db.clone(), query.clone())?;
         let request = RefinementRequest::new()
             .with_constraints(constraints.clone())
             .with_epsilon(epsilon)
             .with_distance(distance);
-        let solver = NaiveSolver {
-            options: options.clone(),
-        };
-        session.solve_with(&solver, &request)
+        session.solve_with(&NaiveSolver::new(mode), &request)
     }
 
     #[test]
@@ -386,10 +372,7 @@ mod tests {
             &constraints,
             0.0,
             DistanceMeasure::Predicate,
-            &NaiveOptions {
-                mode: NaiveMode::Provenance,
-                ..Default::default()
-            },
+            NaiveMode::Provenance,
         )
         .unwrap();
         let dbms = exhaustive_search(
@@ -398,10 +381,7 @@ mod tests {
             &constraints,
             0.0,
             DistanceMeasure::Predicate,
-            &NaiveOptions {
-                mode: NaiveMode::Database,
-                ..Default::default()
-            },
+            NaiveMode::Database,
         )
         .unwrap();
         assert!(prov.outcome.is_proven_terminal() && dbms.outcome.is_proven_terminal());
@@ -427,7 +407,7 @@ mod tests {
             &constraints,
             0.0,
             DistanceMeasure::Predicate,
-            &NaiveOptions::default(),
+            NaiveMode::Provenance,
         )
         .unwrap();
         let naive_dist = naive.outcome.refined().expect("refinement exists").distance;
@@ -465,7 +445,7 @@ mod tests {
             &constraints,
             0.0,
             DistanceMeasure::JaccardTopK,
-            &NaiveOptions::default(),
+            NaiveMode::Provenance,
         )
         .unwrap();
         let naive_dist = naive.outcome.refined().expect("refinement exists").distance;
@@ -524,7 +504,7 @@ mod tests {
             &constraints,
             0.0,
             DistanceMeasure::Predicate,
-            &NaiveOptions::default(),
+            NaiveMode::Provenance,
         )
         .unwrap();
         // An exhausted search with no candidate proves infeasibility.
@@ -538,21 +518,14 @@ mod tests {
 
     #[test]
     fn candidate_cap_is_respected() {
-        let db = paper_database();
-        let query = scholarship_query();
-        let constraints = scholarship_constraints();
-        let result = exhaustive_search(
-            &db,
-            &query,
-            &constraints,
-            0.5,
-            DistanceMeasure::Predicate,
-            &NaiveOptions {
-                max_candidates: 5,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let session = RefinementSession::new(paper_database(), scholarship_query()).unwrap();
+        let request = RefinementRequest::new()
+            .with_constraints(scholarship_constraints())
+            .with_epsilon(0.5)
+            .with_distance(DistanceMeasure::Predicate);
+        let result = NaiveSolver::new(NaiveMode::Provenance)
+            .search(&session, &request, 5)
+            .unwrap();
         assert_eq!(result.stats.candidates_evaluated, 5);
         // The cap stops the enumeration short, so nothing is proven.
         assert!(!result.outcome.is_proven_terminal());

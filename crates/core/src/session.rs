@@ -24,8 +24,9 @@
 //!     .with_constraints(scholarship_constraints())
 //!     .with_distance(DistanceMeasure::Predicate);
 //!
-//! // An ε-sweep pays the provenance setup once, not three times.
-//! let results = session.sweep_epsilon(&base, &[0.0, 0.25, 0.5]).unwrap();
+//! // An ε-sweep (here on one worker) pays the provenance setup once, not
+//! // three times.
+//! let results = session.sweep_epsilon(&base, &[0.0, 0.25, 0.5], 1).unwrap();
 //! assert_eq!(results.len(), 3);
 //! assert_eq!(session.setup_stats().annotation_builds, 1);
 //! assert!(results.iter().all(|r| r.outcome.is_refined()));
@@ -39,10 +40,10 @@
 //!
 //! A session is `Send + Sync` (checked at compile time): share it across
 //! worker threads via `Arc`, or let the built-in worker pool do it —
-//! [`RefinementSession::solve_batch_parallel`] and
-//! [`RefinementSession::sweep_epsilon_parallel`] fan a batch out over std
-//! threads and return results in request order, identical to the sequential
-//! path. Each request carries a [`SolveControl`]: a unified wall-clock
+//! [`RefinementSession::solve_batch`] and
+//! [`RefinementSession::sweep_epsilon`] fan a batch out over `workers` std
+//! threads and return results in request order, the same for every worker
+//! count. Each request carries a [`SolveControl`]: a unified wall-clock
 //! deadline ([`RefinementRequest::with_time_limit`]) and a cooperative
 //! [`CancelToken`] honored by *every* backend, plus an optional
 //! [`SolveObserver`] streaming incumbent / node / bound events from the MILP
@@ -163,14 +164,10 @@ pub struct RefinementStats {
     pub total_time: Duration,
     /// Number of MILP variables.
     pub num_variables: usize,
-    /// Number of MILP integer/binary variables.
-    pub num_integer_variables: usize,
     /// Number of MILP constraints.
     pub num_constraints: usize,
     /// Number of tuples of `~Q(D)` kept in the program (after pruning).
     pub scope_size: usize,
-    /// Number of lineage equivalence classes in `~Q(D)`.
-    pub lineage_classes: usize,
     /// Branch-and-bound nodes explored.
     pub nodes: usize,
     /// LP relaxations solved.
@@ -239,17 +236,14 @@ impl RefinementStats {
     pub(crate) fn for_model(
         model: &qr_milp::Model,
         scope_size: usize,
-        annotated: &AnnotatedRelation,
         model_build_time: Duration,
     ) -> Self {
         RefinementStats {
             model_build_time,
             setup_time: model_build_time,
             num_variables: model.num_variables(),
-            num_integer_variables: model.num_integer_variables(),
             num_constraints: model.num_constraints(),
             scope_size,
-            lineage_classes: annotated.classes().len(),
             ..RefinementStats::default()
         }
     }
@@ -293,10 +287,9 @@ impl RefinementStats {
         self.resumed_solves = resumed_solves;
         self.nodes_restored = nodes_restored;
         self.resume_captures = resume_captures;
-        // The solver reports whether the caller-supplied warm entry actually
-        // seeded the search (0 when warm starts are disabled in the solver
-        // options), which is exactly what "warm-started from the cache"
-        // should mean at this layer.
+        // The solver reports whether the caller-supplied warm entry carried
+        // a basis that seeded the root LP, which is exactly what
+        // "warm-started from the cache" should mean at this layer.
         self.cache_warm_starts = warm_entry_solves;
     }
 }
@@ -385,12 +378,8 @@ impl StatsAggregate {
             solver_time,
             total_time,
             num_variables,
-            // Subsumed by num_variables for sizing purposes.
-            num_integer_variables: _,
             num_constraints,
             scope_size,
-            // A property of the session's annotation, not of one solve.
-            lineage_classes: _,
             nodes,
             lp_solves,
             simplex_iterations,
@@ -446,8 +435,20 @@ pub struct RefinedQuery {
     pub query: SpjQuery,
     /// Exact value of the requested distance measure for this refinement.
     pub distance: f64,
-    /// The MILP objective value (may differ slightly from `distance` for the
-    /// outcome-based measures, whose objectives are linear surrogates).
+    /// The value the search minimised. For the exhaustive and Erica-style
+    /// backends, and for the original query answered by the fast path, it
+    /// equals `distance`. For the MILP it is the model's objective, which
+    /// can differ from `distance` under every measure:
+    /// * `DIS_Jaccard` minimises k* minus the retained original top-k*
+    ///   tuples, a count ordered like the distance but in other units;
+    /// * `DIS_pred` charges the numerical constant the MILP chose, while
+    ///   `distance` charges the constant the answer reports (Astronauts 357,
+    ///   ε = 0.5: objective 3.83, distance 4.33);
+    /// * `DIS_Kendall` omits one kind of pair that the distance charges
+    ///   (Astronauts 100, ε = 0.5: objective 0, distance 13).
+    ///
+    /// Making the objective equal the distance is item 1 of the project's
+    /// ROADMAP.md.
     pub objective: f64,
     /// Exact deviation (Definition 2.6) of the refined query's output.
     pub deviation: f64,
@@ -618,35 +619,6 @@ impl SessionResume {
     pub fn num_open_nodes(&self) -> usize {
         self.state.num_open_nodes()
     }
-
-    /// Best proven lower (dual) bound on the objective so far.
-    pub fn best_bound(&self) -> f64 {
-        self.state.best_bound()
-    }
-
-    /// Objective of the best incumbent found so far, if any.
-    pub fn incumbent_objective(&self) -> Option<f64> {
-        self.state.incumbent_objective()
-    }
-
-    /// Total branch-and-bound nodes processed across every completed segment
-    /// of this search.
-    pub fn nodes_so_far(&self) -> usize {
-        self.state.nodes_so_far()
-    }
-
-    /// Number of interrupted solve segments behind this state (1 after the
-    /// first interruption, +1 per resumed-and-reinterrupted segment).
-    pub fn segments(&self) -> usize {
-        self.state.segments()
-    }
-
-    /// The request whose parameters a resumed segment solves under
-    /// (constraints, ε, distance, optimizations, solver budget — everything
-    /// except the execution control).
-    pub fn request(&self) -> &RefinementRequest {
-        &self.request
-    }
 }
 
 /// Everything that may vary between solves against one session: constraints,
@@ -664,9 +636,9 @@ pub struct RefinementRequest {
     pub distance: DistanceMeasure,
     /// Which Section 4 optimizations to apply when building the MILP.
     pub optimizations: OptimizationConfig,
-    /// MILP search options: the node limit and the propagation, rounding
-    /// and warm-start switches. The per-LP pivot cap is a solver constant,
-    /// and the wall-clock limit is the [`control`](Self::control) deadline.
+    /// MILP search options: the node limit. The per-LP pivot cap is a
+    /// solver constant, and the wall-clock limit is the
+    /// [`control`](Self::control) deadline.
     pub solver_options: SolverOptions,
     /// Execution control: cooperative cancellation, the unified deadline
     /// honored by *every* backend (MILP, Naive, Erica), and an optional
@@ -730,7 +702,7 @@ impl RefinementRequest {
         self
     }
 
-    /// Override the MILP search options (node limit, ablation switches).
+    /// Override the MILP search options (the node limit).
     #[must_use]
     pub fn with_solver_options(mut self, options: SolverOptions) -> Self {
         self.solver_options = options;
@@ -1091,10 +1063,8 @@ impl RefinementSession {
                 // the model-shape fields for observability.
                 hit.stats = RefinementStats {
                     num_variables: hit.stats.num_variables,
-                    num_integer_variables: hit.stats.num_integer_variables,
                     num_constraints: hit.stats.num_constraints,
                     scope_size: hit.stats.scope_size,
-                    lineage_classes: hit.stats.lineage_classes,
                     cache_hits: 1,
                     total_time: start.elapsed(),
                     ..RefinementStats::default()
@@ -1294,27 +1264,17 @@ impl RefinementSession {
         solver.solve(self, request)
     }
 
-    /// Solve a batch of requests in order, all against the single snapshot
-    /// current when the batch starts (so a concurrent [`apply`](Self::apply)
-    /// cannot make the batch internally inconsistent).
-    pub fn solve_batch(&self, requests: &[RefinementRequest]) -> Result<Vec<RefinementResult>> {
-        let snapshot = self.snapshot();
-        requests
-            .iter()
-            .map(|r| self.solve_on(&snapshot, r))
-            .collect()
-    }
-
     /// Solve a batch of requests on an internal pool of `workers` OS
-    /// threads, sharing this session's annotations across all of them (the
-    /// session is `Send + Sync`; each solve builds its own MILP and
-    /// workspace, so nothing is locked on the hot path).
+    /// threads, all against the single snapshot current when the batch
+    /// starts (so a concurrent [`apply`](Self::apply) cannot make the batch
+    /// internally inconsistent). The threads share this session's
+    /// annotations (the session is `Send + Sync`; each solve builds its own
+    /// MILP and workspace, so nothing is locked on the hot path).
     ///
-    /// Results come back **in request order**, and each individual result is
-    /// identical to what the sequential [`solve_batch`](Self::solve_batch)
-    /// returns for the same request (the solver is deterministic; only the
-    /// timing statistics differ). `workers <= 1` degenerates to the
-    /// sequential path.
+    /// Results come back **in request order**, and each result is the same
+    /// whatever the worker count (the solver is deterministic; only the
+    /// timing statistics differ). `workers <= 1` solves the requests one
+    /// after another on the calling thread.
     ///
     /// ```
     /// use qr_core::paper_example::{paper_database, scholarship_constraints, scholarship_query};
@@ -1329,41 +1289,26 @@ impl RefinementSession {
     ///             .with_epsilon(eps)
     ///     })
     ///     .collect();
-    /// let results = session.solve_batch_parallel(&requests, 4).unwrap();
+    /// let results = session.solve_batch(&requests, 4).unwrap();
     /// assert_eq!(results.len(), 3);
     /// assert_eq!(session.setup_stats().annotation_builds, 1);
     /// ```
-    pub fn solve_batch_parallel(
+    pub fn solve_batch(
         &self,
         requests: &[RefinementRequest],
         workers: usize,
     ) -> Result<Vec<RefinementResult>> {
-        // One snapshot for the whole batch: every worker solves against the
-        // same pinned database version, exactly like the sequential path.
         let snapshot = self.snapshot();
         self.run_parallel(requests.len(), workers, |i| {
             self.solve_on(&snapshot, &requests[i])
         })
     }
 
-    /// Sweep the maximum deviation ε over a base request (as in Figure 5),
-    /// annotation paid once by the session rather than once per ε.
+    /// Sweep the maximum deviation ε over a base request (as in Figure 5) on
+    /// `workers` threads, like [`solve_batch`](Self::solve_batch): one
+    /// pinned snapshot, annotation paid once by the session rather than once
+    /// per ε, and results ordered like `epsilons`.
     pub fn sweep_epsilon(
-        &self,
-        base: &RefinementRequest,
-        epsilons: &[f64],
-    ) -> Result<Vec<RefinementResult>> {
-        let snapshot = self.snapshot();
-        epsilons
-            .iter()
-            .map(|&eps| self.solve_on(&snapshot, &base.clone().with_epsilon(eps)))
-            .collect()
-    }
-
-    /// [`sweep_epsilon`](Self::sweep_epsilon) across an internal pool of
-    /// `workers` threads; results are ordered like `epsilons` and identical
-    /// to the sequential sweep's.
-    pub fn sweep_epsilon_parallel(
         &self,
         base: &RefinementRequest,
         epsilons: &[f64],
@@ -1463,12 +1408,7 @@ fn build_request_model(
         request.distance,
         &request.optimizations,
     )?;
-    let stats = RefinementStats::for_model(
-        &built.model,
-        built.vars.scope.len(),
-        annotated,
-        start.elapsed(),
-    );
+    let stats = RefinementStats::for_model(&built.model, built.vars.scope.len(), start.elapsed());
     Ok((built, stats))
 }
 
@@ -1702,18 +1642,20 @@ mod tests {
 
     #[test]
     fn stats_are_populated_and_split() {
-        let result = solve_paper(
-            DistanceMeasure::Predicate,
-            0.5,
-            scholarship_constraints(),
-            OptimizationConfig::all(),
-        );
+        let session = paper_session();
+        let result = session
+            .solve(
+                &RefinementRequest::new()
+                    .with_constraints(scholarship_constraints())
+                    .with_epsilon(0.5)
+                    .with_distance(DistanceMeasure::Predicate),
+            )
+            .unwrap();
         let stats = &result.stats;
         assert!(stats.num_variables > 0);
         assert!(stats.num_constraints > 0);
-        assert!(stats.num_integer_variables > 0);
         assert!(stats.scope_size > 0);
-        assert!(stats.lineage_classes > 0);
+        assert!(session.setup_stats().lineage_classes > 0);
         assert!(stats.total_time >= stats.setup_time);
         // Session solves never re-annotate: the shared part is zero and the
         // setup column is exactly the per-request model build.
@@ -1785,7 +1727,7 @@ mod tests {
             .with_constraints(scholarship_constraints())
             .with_distance(DistanceMeasure::Predicate);
         let epsilons = [0.0, 0.25, 0.5, 0.75, 1.0];
-        let results = session.sweep_epsilon(&base, &epsilons).unwrap();
+        let results = session.sweep_epsilon(&base, &epsilons, 1).unwrap();
         assert_eq!(results.len(), epsilons.len());
         assert_eq!(session.setup_stats().annotation_builds, 1);
         for r in &results {
@@ -1827,8 +1769,8 @@ mod tests {
                     .with_epsilon(eps)
             })
             .collect();
-        let sequential = session.solve_batch(&requests).unwrap();
-        let parallel = session.solve_batch_parallel(&requests, 4).unwrap();
+        let sequential = session.solve_batch(&requests, 1).unwrap();
+        let parallel = session.solve_batch(&requests, 4).unwrap();
         assert_eq!(sequential.len(), parallel.len());
         for (s, p) in sequential.iter().zip(&parallel) {
             assert_eq!(
@@ -1847,8 +1789,8 @@ mod tests {
             .with_constraints(scholarship_constraints())
             .with_distance(DistanceMeasure::Predicate);
         let epsilons = [0.0, 0.5, 1.0];
-        let sequential = session.sweep_epsilon(&base, &epsilons).unwrap();
-        let parallel = session.sweep_epsilon_parallel(&base, &epsilons, 3).unwrap();
+        let sequential = session.sweep_epsilon(&base, &epsilons, 1).unwrap();
+        let parallel = session.sweep_epsilon(&base, &epsilons, 3).unwrap();
         for (s, p) in sequential.iter().zip(&parallel) {
             assert_eq!(format!("{:?}", s.outcome), format!("{:?}", p.outcome));
         }
@@ -2035,7 +1977,7 @@ mod tests {
                 .with_epsilon(0.0)
                 .with_distance(DistanceMeasure::JaccardTopK),
         ];
-        let results = session.solve_batch(&requests).unwrap();
+        let results = session.solve_batch(&requests, 1).unwrap();
         assert_eq!(results.len(), 2);
         assert!(results.iter().all(|r| r.outcome.is_refined()));
         assert_eq!(session.setup_stats().annotation_builds, 1);

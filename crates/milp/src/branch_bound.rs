@@ -51,23 +51,11 @@ pub struct SolverOptions {
     /// the solve `Feasible` or `LimitReached`; wall-clock limits belong to
     /// the [`SolveControl`] instead.
     pub max_nodes: usize,
-    /// Enable bound propagation at every node (disable only for ablation).
-    pub use_propagation: bool,
-    /// Run a rounding heuristic at the root to seed the incumbent.
-    pub use_rounding_heuristic: bool,
-    /// Warm-start node LPs from the parent's optimal basis (disable only for
-    /// ablation — cold solves re-run phase 1 at every node).
-    pub use_warm_start: bool,
 }
 
 impl Default for SolverOptions {
     fn default() -> Self {
-        SolverOptions {
-            max_nodes: 200_000,
-            use_propagation: true,
-            use_rounding_heuristic: true,
-            use_warm_start: true,
-        }
+        SolverOptions { max_nodes: 200_000 }
     }
 }
 
@@ -278,7 +266,6 @@ impl Solver {
             }
         }
         let start = Instant::now();
-        let opts = &self.options;
         let mut stats = SolveStats {
             best_bound: f64::NEG_INFINITY,
             ..SolveStats::default()
@@ -365,7 +352,7 @@ impl Solver {
         // The basis that produced the current incumbent, exported on the
         // final `Solution` so callers (the cross-request cache) can seed the
         // next nearby solve. Tracked alongside `incumbent` at both
-        // acceptance sites; `None` when warm starts are off.
+        // acceptance sites.
         let mut incumbent_basis: Option<Arc<Basis>> = None;
 
         // Cross-solve warm entry: seed the root LP and the incumbent from a
@@ -374,12 +361,10 @@ impl Solver {
         // re-validated against *this* model before it may prune anything —
         // so a warm entry can never change the returned optimum.
         if let Some(warm) = warm_entry {
-            if opts.use_warm_start {
-                if let Some(basis) = &warm.basis {
-                    if let Some(root) = stack.last_mut() {
-                        root.parent_basis = Some(basis.clone());
-                        stats.warm_entry_solves = 1;
-                    }
+            if let Some(basis) = &warm.basis {
+                if let Some(root) = stack.last_mut() {
+                    root.parent_basis = Some(basis.clone());
+                    stats.warm_entry_solves = 1;
                 }
             }
             if let Some(candidate) = &warm.incumbent {
@@ -404,7 +389,7 @@ impl Solver {
                 interrupted = true;
                 break;
             }
-            if stats.nodes >= opts.max_nodes {
+            if stats.nodes >= self.options.max_nodes {
                 stack.push(node);
                 limit_hit = true;
                 break;
@@ -429,17 +414,15 @@ impl Solver {
                 }
 
                 // Node presolve: bound propagation.
-                if opts.use_propagation {
-                    match propagate(
-                        &workspace,
-                        &integral,
-                        &mut lower,
-                        &mut upper,
-                        PROPAGATION_PASSES,
-                    ) {
-                        PropagationResult::Infeasible => break 'processed,
-                        PropagationResult::Consistent => {}
-                    }
+                match propagate(
+                    &workspace,
+                    &integral,
+                    &mut lower,
+                    &mut upper,
+                    PROPAGATION_PASSES,
+                ) {
+                    PropagationResult::Infeasible => break 'processed,
+                    PropagationResult::Consistent => {}
                 }
 
                 // Cheap box bound before paying for an LP.
@@ -450,13 +433,15 @@ impl Solver {
                     }
                 }
 
-                // LP relaxation, warm-started from the parent basis when allowed.
-                let warm = if opts.use_warm_start {
-                    parent_basis.as_deref()
-                } else {
-                    None
-                };
-                let lp = solve_node_lp(&mut workspace, &lower, &upper, warm, &stop, &mut stats)?;
+                // LP relaxation, warm-started from the parent basis.
+                let lp = solve_node_lp(
+                    &mut workspace,
+                    &lower,
+                    &upper,
+                    parent_basis.as_deref(),
+                    &stop,
+                    &mut stats,
+                )?;
                 // A control stop that fires *inside* this node's LP surfaces as
                 // an iteration-limited LP. Re-pushing the node (propagated
                 // bounds, original parent basis) instead of branching it on
@@ -545,12 +530,11 @@ impl Solver {
                             incumbent = Some((obj, round_integers(&lp_values, &integer_vars)));
                             // The workspace still holds this leaf's optimal
                             // basis — snapshot it for the caller (cache seed).
-                            incumbent_basis =
-                                if opts.use_warm_start && lp.status == LpStatus::Optimal {
-                                    workspace.snapshot_basis().map(Arc::new)
-                                } else {
-                                    None
-                                };
+                            incumbent_basis = if lp.status == LpStatus::Optimal {
+                                workspace.snapshot_basis().map(Arc::new)
+                            } else {
+                                None
+                            };
                             if let Some(observer) = control.observer() {
                                 observer.incumbent_found(&progress_of(&stats, Some(obj)));
                             }
@@ -560,15 +544,12 @@ impl Solver {
                         // Snapshot this node's optimal basis for its children
                         // (and the dive below). Shared via Arc — both children
                         // and the heuristic read the same snapshot. Skipped for
-                        // integral leaves (no consumers) and when warm starts
-                        // are off, so the ablation baseline pays none of the
-                        // bookkeeping.
-                        let node_basis: Option<Arc<Basis>> =
-                            if opts.use_warm_start && lp.status == LpStatus::Optimal {
-                                workspace.snapshot_basis().map(Arc::new)
-                            } else {
-                                None
-                            };
+                        // integral leaves, which have no consumers.
+                        let node_basis: Option<Arc<Basis>> = if lp.status == LpStatus::Optimal {
+                            workspace.snapshot_basis().map(Arc::new)
+                        } else {
+                            None
+                        };
 
                         // Structure-aware dive: fix the refinement decision
                         // variables first, then the follower integers, to seed
@@ -584,11 +565,10 @@ impl Solver {
                         // segments dive at the same nodes the uninterrupted
                         // solve would.
                         let global_nodes = prior_nodes + stats.nodes;
-                        if opts.use_rounding_heuristic
-                            && incumbent.is_none()
+                        if incumbent.is_none()
                             && (global_nodes == 1 || global_nodes.is_multiple_of(16))
                         {
-                            if let Some((obj, values)) = self.structure_dive(
+                            if let Some((obj, values)) = structure_dive(
                                 model,
                                 &mut workspace,
                                 &integral,
@@ -605,11 +585,7 @@ impl Solver {
                                 // The dive's last LP fixed every integer and
                                 // solved to optimality; its basis is the one
                                 // that produced this incumbent.
-                                incumbent_basis = if opts.use_warm_start {
-                                    workspace.snapshot_basis().map(Arc::new)
-                                } else {
-                                    None
-                                };
+                                incumbent_basis = workspace.snapshot_basis().map(Arc::new);
                                 if let Some(observer) = control.observer() {
                                     observer.incumbent_found(&progress_of(&stats, Some(obj)));
                                 }
@@ -752,92 +728,80 @@ impl Solver {
         solution.resume = resume;
         Ok(solution)
     }
+}
 
-    /// Structure-aware rounding dive: fix the integer variables tier by tier
-    /// in descending branch-priority order — the refinement decision
-    /// variables first; propagation then implies most of the follower
-    /// variables they drive — re-solving the LP (warm) between tiers so each
-    /// tier is rounded from a relaxation consistent with the fixes so far.
-    /// With a single priority tier this degenerates to the classic all-fix
-    /// rounding dive. Returns `(objective, values)` on success.
-    #[allow(clippy::too_many_arguments)]
-    fn structure_dive(
-        &self,
-        model: &Model,
-        workspace: &mut LpWorkspace,
-        integral: &[bool],
-        integer_vars: &[usize],
-        priority_tiers: &[Vec<usize>],
-        lp_values: &[f64],
-        lower: &[f64],
-        upper: &[f64],
-        warm: Option<&Basis>,
-        stop: &StopCondition,
-        stats: &mut SolveStats,
-    ) -> Result<Option<(f64, Vec<f64>)>> {
-        let opts = &self.options;
-        let mut lo = lower.to_vec();
-        let mut up = upper.to_vec();
-        let mut values = lp_values.to_vec();
-        let mut basis: Option<Basis> = if opts.use_warm_start {
-            warm.cloned()
-        } else {
-            None
-        };
+/// Structure-aware rounding dive: fix the integer variables tier by tier in
+/// descending branch-priority order — the refinement decision variables
+/// first; propagation then implies most of the follower variables they drive
+/// — re-solving the LP (warm) between tiers so each tier is rounded from a
+/// relaxation consistent with the fixes so far. With a single priority tier
+/// this degenerates to the classic all-fix rounding dive. Returns
+/// `(objective, values)` on success.
+#[allow(clippy::too_many_arguments)]
+fn structure_dive(
+    model: &Model,
+    workspace: &mut LpWorkspace,
+    integral: &[bool],
+    integer_vars: &[usize],
+    priority_tiers: &[Vec<usize>],
+    lp_values: &[f64],
+    lower: &[f64],
+    upper: &[f64],
+    warm: Option<&Basis>,
+    stop: &StopCondition,
+    stats: &mut SolveStats,
+) -> Result<Option<(f64, Vec<f64>)>> {
+    let mut lo = lower.to_vec();
+    let mut up = upper.to_vec();
+    let mut values = lp_values.to_vec();
+    let mut basis: Option<Basis> = warm.cloned();
 
-        for (tier_idx, tier) in priority_tiers.iter().enumerate() {
-            fix_rounded(tier, &values, &mut lo, &mut up);
-            if opts.use_propagation
-                && propagate(workspace, integral, &mut lo, &mut up, PROPAGATION_PASSES)
-                    == PropagationResult::Infeasible
+    for (tier_idx, tier) in priority_tiers.iter().enumerate() {
+        fix_rounded(tier, &values, &mut lo, &mut up);
+        if propagate(workspace, integral, &mut lo, &mut up, PROPAGATION_PASSES)
+            == PropagationResult::Infeasible
+        {
+            return Ok(None);
+        }
+        // Skip the intermediate LP when every remaining integer is already
+        // integral (or this was the last tier anyway).
+        let remaining_fractional = priority_tiers[tier_idx + 1..]
+            .iter()
+            .flatten()
+            .any(|&i| (values[i] - values[i].round()).abs() > INTEGRALITY_TOL);
+        if !remaining_fractional && tier_idx + 1 < priority_tiers.len() {
+            fix_rounded(
+                &priority_tiers[tier_idx + 1..].concat(),
+                &values,
+                &mut lo,
+                &mut up,
+            );
+            if propagate(workspace, integral, &mut lo, &mut up, PROPAGATION_PASSES)
+                == PropagationResult::Infeasible
             {
                 return Ok(None);
             }
-            // Skip the intermediate LP when every remaining integer is
-            // already integral (or this was the last tier anyway).
-            let remaining_fractional = priority_tiers[tier_idx + 1..]
-                .iter()
-                .flatten()
-                .any(|&i| (values[i] - values[i].round()).abs() > INTEGRALITY_TOL);
-            if !remaining_fractional && tier_idx + 1 < priority_tiers.len() {
-                fix_rounded(
-                    &priority_tiers[tier_idx + 1..].concat(),
-                    &values,
-                    &mut lo,
-                    &mut up,
-                );
-                if opts.use_propagation
-                    && propagate(workspace, integral, &mut lo, &mut up, PROPAGATION_PASSES)
-                        == PropagationResult::Infeasible
-                {
-                    return Ok(None);
-                }
-            }
-            let lp = solve_node_lp(workspace, &lo, &up, basis.as_ref(), stop, stats)?;
-            if lp.status != LpStatus::Optimal {
-                return Ok(None);
-            }
-            values = lp.values;
-            if !remaining_fractional {
-                break;
-            }
-            basis = if opts.use_warm_start {
-                workspace.snapshot_basis()
-            } else {
-                None
-            };
         }
-
-        // All integers are fixed (or integral), so the LP solution is
-        // MILP-feasible.
-        let objective = model.objective().constant_part()
-            + model
-                .objective()
-                .terms()
-                .map(|(v, c)| c * values[v.index()])
-                .sum::<f64>();
-        Ok(Some((objective, round_integers(&values, integer_vars))))
+        let lp = solve_node_lp(workspace, &lo, &up, basis.as_ref(), stop, stats)?;
+        if lp.status != LpStatus::Optimal {
+            return Ok(None);
+        }
+        values = lp.values;
+        if !remaining_fractional {
+            break;
+        }
+        basis = workspace.snapshot_basis();
     }
+
+    // All integers are fixed (or integral), so the LP solution is
+    // MILP-feasible.
+    let objective = model.objective().constant_part()
+        + model
+            .objective()
+            .terms()
+            .map(|(v, c)| c * values[v.index()])
+            .sum::<f64>();
+    Ok(Some((objective, round_integers(&values, integer_vars))))
 }
 
 /// Solve one node LP through the shared workspace, recording warm/cold and
@@ -1200,11 +1164,7 @@ mod tests {
         }
         m.add_constraint("c", e.clone(), Sense::Ge, 7.3);
         m.set_objective(e);
-        let solver = Solver::new(SolverOptions {
-            max_nodes: 1,
-            use_rounding_heuristic: false,
-            ..Default::default()
-        });
+        let solver = Solver::new(SolverOptions { max_nodes: 1 });
         let s = solver.solve(&m).unwrap();
         assert!(matches!(
             s.status,
@@ -1212,62 +1172,213 @@ mod tests {
         ));
     }
 
+    /// The optimum of an all-integer model by trying every assignment within
+    /// `lower..=upper`, or `None` when no assignment meets every row.
+    fn enumerated_optimum(m: &Model, lower: &[f64], upper: &[f64]) -> Option<f64> {
+        let lo: Vec<f64> = lower.iter().map(|l| (l - INTEGRALITY_TOL).ceil()).collect();
+        let up: Vec<f64> = upper
+            .iter()
+            .map(|u| (u + INTEGRALITY_TOL).floor())
+            .collect();
+        if lo.iter().zip(&up).any(|(l, u)| l > u) {
+            return None;
+        }
+        let mut values = lo.clone();
+        let mut best: Option<f64> = None;
+        loop {
+            let activity = |e: &LinExpr| {
+                e.constant_part() + e.terms().map(|(v, c)| c * values[v.index()]).sum::<f64>()
+            };
+            let feasible = m.constraints().iter().all(|c| {
+                let a = activity(&c.expr);
+                match c.sense {
+                    Sense::Le => a <= c.rhs,
+                    Sense::Ge => a >= c.rhs,
+                    Sense::Eq => a == c.rhs,
+                }
+            });
+            if feasible {
+                let objective = activity(m.objective());
+                best = Some(best.map_or(objective, |b: f64| b.min(objective)));
+            }
+            let mut i = 0;
+            loop {
+                if i == values.len() {
+                    return best;
+                }
+                if values[i] < up[i] {
+                    values[i] += 1.0;
+                    break;
+                }
+                values[i] = lo[i];
+                i += 1;
+            }
+        }
+    }
+
+    /// The variable bounds a model declares, before any propagation.
+    fn declared_box(m: &Model) -> (Vec<f64>, Vec<f64>) {
+        let lower = m.variables().iter().map(|v| v.lower).collect();
+        let upper = m.variables().iter().map(|v| v.upper).collect();
+        (lower, upper)
+    }
+
+    /// Knapsack `seed` of 24: 5-9 binary or general integer (0..=3) items
+    /// under one or two capacity rows, maximising profit.
+    fn knapsack(seed: usize) -> Model {
+        let n = 5 + seed % 5;
+        let top = if seed.is_multiple_of(3) { 3.0 } else { 1.0 };
+        let mut m = Model::new(format!("knapsack{seed}"));
+        let xs: Vec<_> = (0..n)
+            .map(|i| m.add_integer(format!("x{i}"), 0.0, top))
+            .collect();
+        let rows = 1 + seed % 2;
+        for r in 0..rows {
+            let mut weight = LinExpr::zero();
+            let mut total = 0.0;
+            for (i, &x) in xs.iter().enumerate() {
+                let w = (1 + (seed * 7 + i * (13 + 4 * r)) % 9) as f64;
+                weight.add_term(x, w);
+                total += w * top;
+            }
+            let capacity = (total / (2.0 + r as f64)).floor() + (seed % 3) as f64;
+            m.add_constraint(format!("w{r}"), weight, Sense::Le, capacity);
+        }
+        let mut profit = LinExpr::zero();
+        for (i, &x) in xs.iter().enumerate() {
+            profit.add_term(x, -((1 + (seed * 11 + i * 5) % 10) as f64));
+        }
+        m.set_objective(profit);
+        m
+    }
+
+    /// The search propagates bounds at every node. Enumerating every
+    /// assignment of the declared box, with no propagation at all, must find
+    /// the optimum the search proves; and the root propagation must keep
+    /// that optimum inside the box it leaves.
     #[test]
     fn propagation_disabled_still_correct() {
-        let mut m = Model::new("noprop");
-        let x = m.add_integer("x", 0.0, 10.0);
-        let y = m.add_integer("y", 0.0, 10.0);
-        m.add_constraint(
+        let mut noprop = Model::new("noprop");
+        let x = noprop.add_integer("x", 0.0, 10.0);
+        let y = noprop.add_integer("y", 0.0, 10.0);
+        noprop.add_constraint(
             "c",
             LinExpr::term(x, 3.0) + LinExpr::term(y, 5.0),
             Sense::Le,
             19.0,
         );
-        m.set_objective(LinExpr::term(x, -2.0) + LinExpr::term(y, -3.0));
-        let opts = SolverOptions {
-            use_propagation: false,
-            ..SolverOptions::default()
-        };
-        let s1 = Solver::new(opts).solve(&m).unwrap();
-        let s2 = Solver::default().solve(&m).unwrap();
-        assert_eq!(s1.status, SolveStatus::Optimal);
-        assert!((s1.objective - s2.objective).abs() < ASSERT_TOL);
+        noprop.set_objective(LinExpr::term(x, -2.0) + LinExpr::term(y, -3.0));
+        let models = std::iter::once(noprop).chain((0..24).map(knapsack));
+        let mut tightened = 0;
+        for m in models {
+            let name = m.name().to_string();
+            let (lower, upper) = declared_box(&m);
+            let expected =
+                enumerated_optimum(&m, &lower, &upper).expect("the empty knapsack is feasible");
+            let s = Solver::default().solve(&m).unwrap();
+            assert_eq!(s.status, SolveStatus::Optimal, "{name}");
+            assert!(
+                (s.objective - expected).abs() < ASSERT_TOL,
+                "{name}: search {} vs enumeration {expected}",
+                s.objective
+            );
+
+            let (mut lo, mut up) = (lower.clone(), upper.clone());
+            let workspace = LpWorkspace::new(&m).unwrap();
+            let result = propagate(
+                &workspace,
+                &integrality_mask(&m),
+                &mut lo,
+                &mut up,
+                PROPAGATION_PASSES,
+            );
+            assert_eq!(result, PropagationResult::Consistent, "{name}");
+            if (&lo, &up) != (&lower, &upper) {
+                tightened += 1;
+                let within = enumerated_optimum(&m, &lo, &up);
+                assert_eq!(
+                    within,
+                    Some(expected),
+                    "{name}: propagation cut the optimum"
+                );
+            }
+        }
+        // 3x + 5y <= 19 bounds x by 6 and y by 3.
+        assert!(tightened >= 1, "no instance exercised propagation");
     }
 
+    /// Every child LP of the knapsack roots, warm-started from the root's
+    /// basis, must reach the status and objective of the same LP solved cold
+    /// in a workspace of its own; every LP is either warm or cold.
     #[test]
     fn warm_start_disabled_matches_enabled() {
-        // The warm-start path is a pure performance optimisation: the
-        // optimum must be identical with it on and off.
-        let mut m = Model::new("warm-ablation");
-        let xs: Vec<_> = (0..8).map(|i| m.add_binary(format!("x{i}"))).collect();
-        let mut weight = LinExpr::zero();
-        let mut profit = LinExpr::zero();
-        for (i, &x) in xs.iter().enumerate() {
-            weight.add_term(x, ((i % 4) + 2) as f64);
-            profit.add_term(x, -(((i * 7) % 5 + 1) as f64));
+        for seed in 0..24usize {
+            let m = knapsack(seed);
+            let (lower, upper) = declared_box(&m);
+            let stop = StopCondition::none();
+            let mut warm_ws = LpWorkspace::new(&m).unwrap();
+            let mut cold_ws = LpWorkspace::new(&m).unwrap();
+            let mut warm_stats = SolveStats::default();
+            let mut cold_stats = SolveStats::default();
+            let root =
+                solve_node_lp(&mut warm_ws, &lower, &upper, None, &stop, &mut warm_stats).unwrap();
+            assert_eq!(root.status, LpStatus::Optimal, "seed {seed}");
+            let basis = warm_ws.snapshot_basis().expect("optimal root snapshots");
+            for (var, &value) in root.values.iter().enumerate() {
+                let down = (lower[var], value.floor().max(lower[var]));
+                let up = (value.ceil().min(upper[var]), upper[var]);
+                for (lo, up) in [down, up] {
+                    let (mut child_lower, mut child_upper) = (lower.clone(), upper.clone());
+                    child_lower[var] = lo;
+                    child_upper[var] = up;
+                    let warm = solve_node_lp(
+                        &mut warm_ws,
+                        &child_lower,
+                        &child_upper,
+                        Some(&basis),
+                        &stop,
+                        &mut warm_stats,
+                    )
+                    .unwrap();
+                    let cold = solve_node_lp(
+                        &mut cold_ws,
+                        &child_lower,
+                        &child_upper,
+                        None,
+                        &stop,
+                        &mut cold_stats,
+                    )
+                    .unwrap();
+                    assert_eq!(
+                        warm.status, cold.status,
+                        "seed {seed}, x{var} in {lo}..={up}"
+                    );
+                    if cold.status == LpStatus::Optimal {
+                        assert!(
+                            (warm.objective - cold.objective).abs() < ASSERT_TOL,
+                            "seed {seed}, x{var} in {lo}..={up}: warm {} vs cold {}",
+                            warm.objective,
+                            cold.objective
+                        );
+                    }
+                }
+            }
+            assert!(warm_stats.warm_lp_solves > 0, "seed {seed}");
+            assert_eq!(cold_stats.warm_lp_solves, 0, "seed {seed}");
+            for stats in [&warm_stats, &cold_stats] {
+                assert_eq!(
+                    stats.cold_lp_solves + stats.warm_lp_solves,
+                    stats.lp_solves,
+                    "seed {seed}"
+                );
+            }
+            let s = Solver::default().solve(&m).unwrap();
+            assert_eq!(
+                s.stats.cold_lp_solves + s.stats.warm_lp_solves,
+                s.stats.lp_solves,
+                "seed {seed}"
+            );
         }
-        m.add_constraint("w", weight, Sense::Le, 11.0);
-        m.set_objective(profit);
-        let warm = Solver::default().solve(&m).unwrap();
-        let cold = Solver::new(SolverOptions {
-            use_warm_start: false,
-            ..SolverOptions::default()
-        })
-        .solve(&m)
-        .unwrap();
-        assert_eq!(warm.status, SolveStatus::Optimal);
-        assert_eq!(cold.status, SolveStatus::Optimal);
-        assert!((warm.objective - cold.objective).abs() < ASSERT_TOL);
-        // With warm starts off every LP is a cold solve.
-        assert_eq!(cold.stats.warm_lp_solves, 0);
-        assert_eq!(
-            cold.stats.cold_lp_solves + cold.stats.warm_lp_solves,
-            cold.stats.lp_solves
-        );
-        assert_eq!(
-            warm.stats.cold_lp_solves + warm.stats.warm_lp_solves,
-            warm.stats.lp_solves
-        );
     }
 
     #[test]
@@ -1295,12 +1406,7 @@ mod tests {
             }
         }
         m.set_objective(profit);
-        let s = Solver::new(SolverOptions {
-            use_rounding_heuristic: false,
-            ..SolverOptions::default()
-        })
-        .solve(&m)
-        .unwrap();
+        let s = Solver::default().solve(&m).unwrap();
         assert_eq!(s.status, SolveStatus::Optimal);
         assert!(s.stats.lp_solves > 4, "model should branch");
         assert!(

@@ -195,6 +195,7 @@ impl LuScratch {
         // keys surface together, so a repeat is the previous key.
         let mut chosen: [usize; SEARCH_COLS] = [usize::MAX; SEARCH_COLS];
         let mut n_chosen = 0usize;
+        // lint: no-cancel-poll(each iteration pops one heap entry, so it ends within the heap's length)
         while n_chosen < SEARCH_COLS {
             let Some(Reverse((count, slot))) = self.candidates.pop() else {
                 break;
@@ -404,6 +405,7 @@ impl LuFactors {
                     }
                     // Drop numerically cancelled entries and clear the index.
                     let mut idx = 0;
+                    // lint: no-cancel-poll(one iteration per column entry: each advances idx or removes the entry)
                     while idx < ws.cols[slot].len() {
                         let (row, val) = ws.cols[slot][idx];
                         ws.pos_of_row[row] = 0;

@@ -95,13 +95,6 @@ impl ResumeState {
     pub fn segments(&self) -> usize {
         self.prior_segments
     }
-
-    /// Structural fingerprint of the model this state was captured from.
-    /// Resuming against a model with a different fingerprint fails with
-    /// [`MilpError::StaleResume`](crate::error::MilpError::StaleResume).
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
 }
 
 /// Structural fingerprint of a model: variable types, bounds and branch

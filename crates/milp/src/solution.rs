@@ -59,8 +59,8 @@ pub struct SolveStats {
     pub simplex_iterations: usize,
     /// LP solves that started from a parent basis (dual simplex warm start).
     pub warm_lp_solves: usize,
-    /// LP solves that ran the cold two-phase method (root, warm-start
-    /// fallbacks, and solves with warm starts disabled).
+    /// LP solves that ran the cold two-phase method: the root of a fresh
+    /// search, and warm starts that fell back.
     pub cold_lp_solves: usize,
     /// Basis LU refactorizations across all LP solves (cold starts, warm
     /// basis restores, and stability-triggered rebuilds of the eta file).
@@ -144,8 +144,10 @@ pub struct Solution {
     /// large, and the common (uninterrupted) case should pay one pointer.
     pub resume: Option<Box<ResumeState>>,
     /// Snapshot of the simplex basis at the node that produced the returned
-    /// assignment, present when the solve finished [`SolveStatus::Optimal`] /
-    /// [`SolveStatus::Feasible`] with warm starts enabled. Feed it back via
+    /// assignment: present when this search found that assignment itself (at
+    /// an integral leaf or in a dive), absent when the assignment is a
+    /// [`WarmStart`](crate::branch_bound::WarmStart) incumbent that no node
+    /// improved on. Feed it back via
     /// [`WarmStart`](crate::branch_bound::WarmStart) to seed a later solve of
     /// a nearby model (e.g. the same query at a different ε) — the basis of
     /// one optimum is usually a few dual pivots from the next. `Arc`: the

@@ -97,12 +97,7 @@ fn observer_streams_events_and_can_cancel_mid_flight() {
     let control = SolveControl::new()
         .with_cancel_token(token)
         .with_observer(observer.clone());
-    // Disable the dive so the first incumbent comes from an integral leaf
-    // deep in the tree, guaranteeing the cancel lands mid-search.
-    let solver = Solver::new(SolverOptions {
-        use_rounding_heuristic: false,
-        ..SolverOptions::default()
-    });
+    let solver = Solver::default();
     let s = solver
         .solve_with_control(&branchy_model(&[5, 7, 9, 11]), &control)
         .unwrap();
@@ -189,11 +184,7 @@ fn stacked_controls_cannot_loosen_an_earlier_stop() {
 /// the control alone.
 #[test]
 fn node_limit_is_not_an_interruption() {
-    let solver = Solver::new(SolverOptions {
-        max_nodes: 0,
-        use_rounding_heuristic: false,
-        ..SolverOptions::default()
-    });
+    let solver = Solver::new(SolverOptions { max_nodes: 0 });
     let s = solver.solve(&branchy_model(&[5, 7, 9])).unwrap();
     assert_eq!(s.status, SolveStatus::LimitReached);
     assert!(!s.stats.interrupted);

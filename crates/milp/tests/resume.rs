@@ -220,13 +220,9 @@ fn completed_and_limit_solves_carry_no_resume_state() {
     assert_eq!(s.stats.nodes_restored, 0);
 
     // A legacy node-limit stop is a limit, not an interruption: no capture.
-    let limited = Solver::new(SolverOptions {
-        max_nodes: 1,
-        use_rounding_heuristic: false,
-        ..SolverOptions::default()
-    })
-    .solve(&branchy_model(&[5, 7, 9]))
-    .unwrap();
+    let limited = Solver::new(SolverOptions { max_nodes: 1 })
+        .solve(&branchy_model(&[5, 7, 9]))
+        .unwrap();
     assert!(limited.resume.is_none());
     assert_eq!(limited.stats.resume_captures, 0);
 }

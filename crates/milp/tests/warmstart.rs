@@ -1,6 +1,7 @@
 //! Warm-start regression tests: pivot budgets on the big-M indicator
 //! structure that used to stall phase 1, and a property check that
-//! warm-started and cold-started branch-and-bound reach the same optimum.
+//! branch-and-bound finds the optimum that trying every integer assignment
+//! finds.
 //!
 //! The pivot-budget assertions count simplex iterations, not wall-clock time,
 //! so they are deterministic across build profiles — but run them with
@@ -152,14 +153,54 @@ fn random_milp(spec: &[(u8, u8, u8)], n_vars: usize, rhs_slack: u8) -> Model {
     m
 }
 
+/// The optimum of `model` by enumeration: every assignment of its integer
+/// variables within their bounds, with the continuous rest solved as an LP.
+/// `None` when no assignment is feasible.
+fn enumerated_optimum(model: &Model) -> Option<f64> {
+    let vars = model.variables();
+    let integers: Vec<usize> = (0..vars.len())
+        .filter(|&i| vars[i].var_type != VarType::Continuous)
+        .collect();
+    let mut lower: Vec<f64> = vars.iter().map(|v| v.lower).collect();
+    let mut upper: Vec<f64> = vars.iter().map(|v| v.upper).collect();
+    for &i in &integers {
+        upper[i] = lower[i];
+    }
+    let mut best: Option<f64> = None;
+    loop {
+        let lp = solve_lp(model, &lower, &upper, 50_000, &StopCondition::none()).unwrap();
+        match lp.status {
+            LpStatus::Optimal => {
+                best = Some(best.map_or(lp.objective, |b: f64| b.min(lp.objective)));
+            }
+            LpStatus::Infeasible => {}
+            other => panic!("enumeration LP ended {other:?}"),
+        }
+        let mut k = 0;
+        loop {
+            let Some(&i) = integers.get(k) else {
+                return best;
+            };
+            if lower[i] < vars[i].upper {
+                lower[i] += 1.0;
+                upper[i] = lower[i];
+                break;
+            }
+            lower[i] = vars[i].lower;
+            upper[i] = lower[i];
+            k += 1;
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Warm-started and cold-started branch-and-bound agree on status and
-    /// optimum for random small MILPs (the warm path is a pure performance
-    /// optimisation and must never change the answer).
+    /// Branch-and-bound agrees with enumeration on random small MILPs: it
+    /// answers `Infeasible` exactly when no integer assignment is feasible,
+    /// and otherwise proves the enumerated optimum.
     #[test]
-    fn warm_and_cold_reach_the_same_objective(
+    fn search_matches_enumeration_on_random_milps(
         a in 0u8..255,
         b in 0u8..8,
         sense in 0u8..255,
@@ -171,19 +212,16 @@ proptest! {
             .map(|r| (a.wrapping_add(r as u8 * 37), b, sense.wrapping_add(r as u8)))
             .collect();
         let model = random_milp(&spec, n_vars, rhs_slack);
-        let warm = Solver::default().solve(&model).unwrap();
-        let cold = Solver::new(SolverOptions {
-            use_warm_start: false,
-            ..SolverOptions::default()
-        })
-        .solve(&model)
-        .unwrap();
-        prop_assert_eq!(warm.status, cold.status);
-        if warm.status.has_solution() {
-            prop_assert!(
-                (warm.objective - cold.objective).abs() < 1e-6,
-                "warm {} vs cold {}", warm.objective, cold.objective
-            );
+        let search = Solver::default().solve(&model).unwrap();
+        match enumerated_optimum(&model) {
+            None => prop_assert_eq!(search.status, SolveStatus::Infeasible),
+            Some(expected) => {
+                prop_assert_eq!(search.status, SolveStatus::Optimal);
+                prop_assert!(
+                    (search.objective - expected).abs() < 1e-6,
+                    "search {} vs enumeration {}", search.objective, expected
+                );
+            }
         }
     }
 }

@@ -26,10 +26,7 @@ fn main() {
 
     // A visible search budget: the unoptimized build in particular may return
     // its best incumbent rather than a proven optimum within this window.
-    let budget = SolverOptions {
-        max_nodes: 50_000,
-        ..SolverOptions::default()
-    };
+    let budget = SolverOptions { max_nodes: 50_000 };
 
     // One session answers both optimization configurations (Figure 3a):
     // provenance annotation happens once, each request only rebuilds the MILP.

@@ -50,7 +50,7 @@ fn main() {
         .with_constraints(scholarship_constraints())
         .with_distance(DistanceMeasure::Predicate);
     let epsilons = [0.0, 0.25, 0.5, 0.75, 1.0];
-    let results = session.sweep_epsilon_parallel(&base, &epsilons, 4).unwrap();
+    let results = session.sweep_epsilon(&base, &epsilons, 4).unwrap();
     println!("parallel eps-sweep over {} workers:", 4);
     for (eps, result) in epsilons.iter().zip(&results) {
         let refined = result.outcome.refined().expect("refinement exists");

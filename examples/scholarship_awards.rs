@@ -24,10 +24,7 @@ fn main() {
 
     // A visible search budget: at this dataset size the from-scratch solver
     // may return the best incumbent found rather than a proven optimum.
-    let budget = SolverOptions {
-        max_nodes: 50_000,
-        ..SolverOptions::default()
-    };
+    let budget = SolverOptions { max_nodes: 50_000 };
 
     let session = RefinementSession::new(workload.db.clone(), workload.query.clone())
         .expect("annotation builds");

@@ -78,10 +78,10 @@ fn cached_epsilon_sweep_does_measurably_less_cold_work() {
     let base = base_request();
 
     let cold = cold_session
-        .sweep_epsilon(&base, &epsilons)
+        .sweep_epsilon(&base, &epsilons, 1)
         .expect("cache-off sweep");
     let warm = warm_session
-        .sweep_epsilon(&base, &epsilons)
+        .sweep_epsilon(&base, &epsilons, 1)
         .expect("cache-on sweep");
 
     // Identical answers, point for point.
@@ -180,7 +180,9 @@ proptest! {
         let cached = session().with_solution_cache(8);
         let grid: Vec<f64> = epsilons.iter().map(|e| (e * 4.0).round() / 4.0).collect();
         // Warm the cache (memos + bases for every point) at version 1.
-        cached.sweep_epsilon(&base_request(), &grid).expect("warm-up sweep");
+        cached
+            .sweep_epsilon(&base_request(), &grid, 1)
+            .expect("warm-up sweep");
 
         let mutation = Mutation::delete("Activities", vec![delete_id]);
         cached.apply(vec![mutation.clone()]).expect("mutation applies");
@@ -213,7 +215,7 @@ proptest! {
 fn version_mismatch_evicts_stale_entries() {
     let cached = session().with_solution_cache(8);
     cached
-        .sweep_epsilon(&base_request(), &[0.0, 0.25, 0.5])
+        .sweep_epsilon(&base_request(), &[0.0, 0.25, 0.5], 1)
         .expect("warm-up sweep");
     let occupied = cached.solution_cache().expect("cache enabled").len();
     assert!(occupied >= 1, "the sweep must have populated the cache");

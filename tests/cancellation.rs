@@ -20,7 +20,6 @@ fn fig3_session_and_request() -> (RefinementSession, RefinementRequest) {
         .with_epsilon(0.5)
         .with_solver_options(SolverOptions {
             max_nodes: 1_000_000,
-            ..SolverOptions::default()
         })
         .with_time_limit(Duration::from_secs(120));
     (session, request)

@@ -46,7 +46,6 @@ fn mid_flight_mutation_does_not_change_a_pinned_solve() {
         .with_epsilon(0.5)
         .with_solver_options(SolverOptions {
             max_nodes: 1_000_000,
-            ..SolverOptions::default()
         })
         .with_time_limit(Duration::from_secs(120));
 

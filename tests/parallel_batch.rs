@@ -1,6 +1,6 @@
-//! Parallel-execution contract: `solve_batch_parallel` on worker threads
-//! returns byte-identical `RefinementOutcome`s, in the same order, as the
-//! sequential `solve_batch` — property-tested over random request batches on
+//! Parallel-execution contract: `solve_batch` on four worker threads
+//! returns byte-identical `RefinementOutcome`s, in the same order, as on
+//! one — property-tested over random request batches on
 //! the fig3 astronaut workload — and a session shared via `Arc` across
 //! manually spawned threads behaves the same way.
 
@@ -28,10 +28,7 @@ fn fig3_request(epsilon: f64, bound: usize, distance: DistanceMeasure) -> Refine
         .with_constraints(ConstraintSet::new().with(w.constraint_with_bound(1, 5, Some(bound))))
         .with_epsilon(epsilon)
         .with_distance(distance)
-        .with_solver_options(SolverOptions {
-            max_nodes: 20_000,
-            ..SolverOptions::default()
-        })
+        .with_solver_options(SolverOptions { max_nodes: 20_000 })
         .with_time_limit(Duration::from_secs(60))
 }
 
@@ -54,8 +51,8 @@ proptest! {
                 fig3_request(EPSILONS[eps_idx], bound, DistanceMeasure::Predicate)
             })
             .collect();
-        let sequential = session.solve_batch(&requests).unwrap();
-        let parallel = session.solve_batch_parallel(&requests, 4).unwrap();
+        let sequential = session.solve_batch(&requests, 1).unwrap();
+        let parallel = session.solve_batch(&requests, 4).unwrap();
         prop_assert_eq!(sequential.len(), parallel.len());
         for (s, p) in sequential.iter().zip(&parallel) {
             prop_assert_eq!(format!("{:?}", s.outcome), format!("{:?}", p.outcome));
@@ -91,22 +88,22 @@ fn arc_shared_session_across_threads_matches_sequential() {
         .map(|h| h.join().expect("worker thread panicked"))
         .collect();
 
-    let sequential = session.solve_batch(&requests).unwrap();
+    let sequential = session.solve_batch(&requests, 1).unwrap();
     for (s, t) in sequential.iter().zip(&threaded) {
         assert_eq!(format!("{:?}", s.outcome), format!("{:?}", t.outcome));
     }
     assert_eq!(session.setup_stats().annotation_builds, 1);
 }
 
-/// The parallel sweep mirrors `sweep_epsilon` exactly (fig5's access
-/// pattern, now answerable by a pool).
+/// A sweep on four workers mirrors the one-worker sweep exactly (fig5's
+/// access pattern).
 #[test]
 fn parallel_epsilon_sweep_matches_sequential() {
     let session = fig3_session();
     let base = fig3_request(0.0, 2, DistanceMeasure::Predicate);
     let epsilons = [0.0, 0.25, 0.5, 1.0];
-    let sequential = session.sweep_epsilon(&base, &epsilons).unwrap();
-    let parallel = session.sweep_epsilon_parallel(&base, &epsilons, 4).unwrap();
+    let sequential = session.sweep_epsilon(&base, &epsilons, 1).unwrap();
+    let parallel = session.sweep_epsilon(&base, &epsilons, 4).unwrap();
     assert_eq!(sequential.len(), parallel.len());
     for (s, p) in sequential.iter().zip(&parallel) {
         assert_eq!(format!("{:?}", s.outcome), format!("{:?}", p.outcome));

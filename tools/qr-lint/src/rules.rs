@@ -45,6 +45,12 @@ const SOLVE_PATH_FILES: &[&str] = &[
     "crates/milp/src/simplex.rs",
     "crates/milp/src/dual.rs",
     "crates/milp/src/branch_bound.rs",
+    // The LP kernel runs between two stop polls of the node and pivot
+    // loops, so an unbounded loop here overshoots the deadline by its
+    // whole length.
+    "crates/milp/src/lu.rs",
+    "crates/milp/src/factor.rs",
+    "crates/milp/src/propagate.rs",
     // Checkpoint capture/restore runs inside the interrupted solve's
     // control scope: a loop here outlives the very budget that tripped.
     "crates/milp/src/resume.rs",
@@ -463,6 +469,23 @@ mod tests {
         // ...and a polled one is not.
         let polled = "fn f(s: &S) { loop { if s.should_stop() { return; } restore(); } }\n";
         assert!(lint_file("tools/qr-server/src/client.rs", polled).is_empty());
+    }
+
+    #[test]
+    fn cancel_poll_covers_the_lp_kernel() {
+        // Factorization and propagation run between two stop polls: an
+        // unpolled loop in any kernel file is a violation...
+        for file in [
+            "crates/milp/src/lu.rs",
+            "crates/milp/src/factor.rs",
+            "crates/milp/src/propagate.rs",
+        ] {
+            let v = lint_file(file, "fn f() { while step() { eliminate(); } }\n");
+            assert_eq!(rules_of(&v), vec!["cancel-poll"], "{file}");
+        }
+        // ...and one whose waiver states its bound is not.
+        let waived = "fn f() {\n    // lint: no-cancel-poll(one iteration per column entry)\n    while idx < n { idx += 1; }\n}\n";
+        assert!(lint_file("crates/milp/src/lu.rs", waived).is_empty());
     }
 
     #[test]

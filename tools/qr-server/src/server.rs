@@ -64,6 +64,19 @@ use std::time::{Duration, Instant};
 /// bounds drain's wake-up connect.
 const POLL: Duration = Duration::from_millis(25);
 
+/// Dataset sessions the pool keeps (LRU beyond this).
+const POOL_CAPACITY: usize = 4;
+
+/// Socket write timeout for responses.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Hard per-solve wall-clock ceiling, composed (tightening) with any
+/// per-request deadline.
+const MAX_SOLVE_TIME: Duration = Duration::from_secs(120);
+
+/// Suspended solves the resume table keeps (LRU beyond this).
+const RESUME_CAPACITY: usize = 64;
+
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -71,21 +84,12 @@ pub struct ServerConfig {
     pub addr: String,
     /// Number of solve workers.
     pub workers: usize,
-    /// Session-pool capacity (LRU beyond this).
-    pub pool_capacity: usize,
     /// Maximum queued (admitted, not yet started) solves before shedding.
     pub max_queue_depth: usize,
     /// Budget for receiving one complete request line; also the idle
     /// timeout between requests. A byte-dribbling client is cut off when
     /// its line is still incomplete this long after it started.
     pub read_timeout: Duration,
-    /// Socket write timeout for responses.
-    pub write_timeout: Duration,
-    /// Hard per-solve wall-clock ceiling, composed (tightening) with any
-    /// per-request deadline.
-    pub max_solve_time: Duration,
-    /// Maximum suspended solves the resume table keeps (LRU beyond this).
-    pub resume_capacity: usize,
     /// How long an unredeemed resume token stays valid.
     pub resume_ttl: Duration,
 }
@@ -95,12 +99,8 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
-            pool_capacity: 4,
             max_queue_depth: 16,
             read_timeout: Duration::from_secs(30),
-            write_timeout: Duration::from_secs(10),
-            max_solve_time: Duration::from_secs(120),
-            resume_capacity: 64,
             resume_ttl: Duration::from_secs(15 * 60),
         }
     }
@@ -330,8 +330,8 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
 
     let shared = Arc::new(Shared {
         wake_addr,
-        pool: SessionPool::new(config.pool_capacity),
-        resume_table: ResumeTable::new(config.resume_capacity, config.resume_ttl),
+        pool: SessionPool::new(POOL_CAPACITY),
+        resume_table: ResumeTable::new(RESUME_CAPACITY, config.resume_ttl),
         metrics: Metrics::new(),
         queue: Mutex::new(VecDeque::new()),
         queue_cv: Condvar::new(),
@@ -477,7 +477,7 @@ fn write_line(stream: &mut TcpStream, line: &str) -> bool {
 }
 
 fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
-    let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let _ = stream.set_nodelay(true);
     let mut carry: Vec<u8> = Vec::new();
 
@@ -591,7 +591,7 @@ fn await_reply(
     // Liveness backstop: the worker replies well within the solve ceiling;
     // only a worker thread lost to a panic outside the solve's own
     // catch_unwind could miss it.
-    let give_up = Instant::now() + shared.config.max_solve_time + Duration::from_secs(30);
+    let give_up = Instant::now() + MAX_SOLVE_TIME + Duration::from_secs(30);
     // lint: no-cancel-poll(the drain protocol guarantees exactly one reply per admitted job, and the give_up backstop bounds the wait)
     loop {
         match reply.recv_timeout(POLL) {
@@ -688,7 +688,7 @@ fn solve_job(job: &Job, shared: &Arc<Shared>) -> String {
     // stop.
     let mut control = SolveControl::new()
         .with_cancel_token(job.token.clone())
-        .with_time_limit(shared.config.max_solve_time);
+        .with_time_limit(MAX_SOLVE_TIME);
     if let Some(deadline_at) = job.deadline_at {
         control = control.with_deadline(deadline_at);
     }

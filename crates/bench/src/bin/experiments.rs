@@ -5,7 +5,7 @@
 //! ```text
 //! cargo run -p qr-bench --release --bin experiments -- \
 //!     [fig3|fig4|fig5|fig6|fig7|fig8|fig9|erica|ablation|all]... [--quick]
-//!     [--distance QD,JAC,KEN] [--threads N]
+//!     [--distance QD,JAC,KEN]
 //! ```
 //!
 //! No figure name runs every figure. An unknown figure name or flag prints
@@ -26,12 +26,6 @@
 //! `--distance` restricts the measured distance measures; labels are parsed
 //! with [`DistanceMeasure`]'s `FromStr` (QD/JAC/KEN or
 //! predicate/jaccard/kendall, case-insensitive).
-//!
-//! `--threads N` answers each session's request batch on N worker threads
-//! through the session's batch API (`solve_batch` / `sweep_epsilon`) for the
-//! per-session sweeps (Figures 4–6).
-//! Results are identical to the sequential run — only wall-clock changes —
-//! so the reproduced series stay comparable.
 
 use qr_bench::{
     bench_workloads, benchmark_request, experiment_workloads, run_engine, run_epsilon_sweep,
@@ -49,7 +43,7 @@ use std::time::{Duration, Instant};
 /// One-line usage, printed with every argument error.
 const USAGE: &str =
     "usage: experiments [fig3|fig4|fig5|fig6|fig7|fig8|fig9|erica|ablation|all]... \
-                     [--quick] [--distance QD,JAC,KEN] [--threads N]";
+                     [--quick] [--distance QD,JAC,KEN]";
 
 /// Figure names, in the order they run.
 const FIGURES: [&str; 9] = [
@@ -65,8 +59,6 @@ struct Options {
     quick: bool,
     /// `--distance`: the measured distance measures, overriding the default.
     distances: Option<Vec<DistanceMeasure>>,
-    /// `--threads`: worker threads for the per-session sweeps (at least 1).
-    threads: usize,
 }
 
 /// Parse the arguments after the program name. Unknown figure names and
@@ -76,7 +68,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         figures: Vec::new(),
         quick: false,
         distances: None,
-        threads: 1,
     };
     let mut args = args.iter();
     while let Some(arg) = args.next() {
@@ -87,26 +78,19 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         };
         match flag {
             "--quick" if inline.is_none() => options.quick = true,
-            "--distance" | "--threads" => {
+            "--distance" => {
                 let value = match inline {
                     Some(value) => value,
                     None => args
                         .next()
                         .ok_or_else(|| format!("{flag} requires a value"))?,
                 };
-                if flag == "--distance" {
-                    let measures = value
-                        .split(',')
-                        .map(|label| label.trim().parse::<DistanceMeasure>())
-                        .collect::<Result<Vec<_>, _>>()
-                        .map_err(|e| format!("--distance: {e}"))?;
-                    options.distances = Some(measures);
-                } else {
-                    let n: usize = value
-                        .parse()
-                        .map_err(|e| format!("--threads: invalid worker count '{value}': {e}"))?;
-                    options.threads = n.max(1);
-                }
+                let measures = value
+                    .split(',')
+                    .map(|label| label.trim().parse::<DistanceMeasure>())
+                    .collect::<Result<Vec<_>, _>>()
+                    .map_err(|e| format!("--distance: {e}"))?;
+                options.distances = Some(measures);
             }
             "all" => options.figures.extend(FIGURES),
             _ if flag.starts_with('-') => return Err(format!("unknown flag '{arg}'")),
@@ -128,7 +112,6 @@ fn main() {
         figures,
         quick,
         distances,
-        threads,
     } = parse_args(&args).unwrap_or_else(|message| {
         eprintln!("experiments: {message}\n{USAGE}");
         std::process::exit(2)
@@ -155,22 +138,19 @@ fn main() {
             .collect::<Vec<_>>()
             .join(", ")
     );
-    if threads > 1 {
-        println!("# per-session sweeps run on {threads} worker threads");
-    }
     println!("{}", ExperimentRow::header());
 
     if selected("fig3") {
         fig3(&workloads, quick, &distances);
     }
     if selected("fig4") {
-        fig4(&workloads, quick, &distances, threads);
+        fig4(&workloads, quick, &distances);
     }
     if selected("fig5") {
-        fig5(&workloads, quick, &distances, threads);
+        fig5(&workloads, quick, &distances);
     }
     if selected("fig6") {
-        fig6(&workloads, quick, &distances, threads);
+        fig6(&workloads, quick, &distances);
     }
     if selected("fig7") {
         fig7(&workloads);
@@ -232,17 +212,16 @@ fn fig3(workloads: &[Workload], quick: bool, distances: &[DistanceMeasure]) {
 }
 
 /// Answer a session's request grid as one batch on the session's batch API
-/// (sequential when `threads == 1`) and print one row per entry, labelled by
-/// the grid's swept-parameter strings. Shared by the per-session figures.
+/// and print one row per entry, labelled by the grid's swept-parameter
+/// strings. Shared by the per-session figures.
 fn run_session_batch(
     w: &Workload,
     session: &qr_core::RefinementSession,
     grid: Vec<(String, DistanceMeasure, qr_core::RefinementRequest)>,
-    threads: usize,
 ) {
     let requests: Vec<_> = grid.iter().map(|(_, _, r)| r.clone()).collect();
     let results = session
-        .solve_batch(&requests, threads)
+        .solve_batch(&requests)
         .expect("engine run does not error");
     for ((parameter, distance, _), result) in grid.iter().zip(&results) {
         let row = ExperimentRow::from_result(
@@ -258,9 +237,8 @@ fn run_session_batch(
 
 /// Figure 4: effect of k*. One session per workload answers every (k,
 /// distance) request — annotation is paid once per dataset, not once per
-/// configuration — and the whole request grid is submitted as one batch to
-/// the parallel batch API (sequential when `--threads 1`).
-fn fig4(workloads: &[Workload], quick: bool, distances: &[DistanceMeasure], threads: usize) {
+/// configuration — and the whole request grid is submitted as one batch.
+fn fig4(workloads: &[Workload], quick: bool, distances: &[DistanceMeasure]) {
     println!("# Figure 4: effect of k*");
     let ks: Vec<usize> = if quick {
         vec![10, 30]
@@ -291,13 +269,13 @@ fn fig4(workloads: &[Workload], quick: bool, distances: &[DistanceMeasure], thre
                 ));
             }
         }
-        run_session_batch(w, &session, grid, threads);
+        run_session_batch(w, &session, grid);
     }
 }
 
 /// Figure 5: effect of the maximum deviation ε, swept through one session
 /// per workload and distance measure.
-fn fig5(workloads: &[Workload], quick: bool, distances: &[DistanceMeasure], threads: usize) {
+fn fig5(workloads: &[Workload], quick: bool, distances: &[DistanceMeasure]) {
     println!("# Figure 5: effect of the maximum deviation");
     let epsilons: Vec<f64> = if quick {
         vec![0.0, 1.0]
@@ -313,7 +291,6 @@ fn fig5(workloads: &[Workload], quick: bool, distances: &[DistanceMeasure], thre
                 &epsilons,
                 distance,
                 OptimizationConfig::all(),
-                threads,
             );
             println!(
                 "# {} {distance} sweep: annotation {annotation_seconds:.3}s, paid once for {} eps values",
@@ -328,8 +305,8 @@ fn fig5(workloads: &[Workload], quick: bool, distances: &[DistanceMeasure], thre
 }
 
 /// Figure 6: effect of the number of constraints, via one session (and one
-/// parallel batch) per workload.
-fn fig6(workloads: &[Workload], quick: bool, distances: &[DistanceMeasure], threads: usize) {
+/// batch) per workload.
+fn fig6(workloads: &[Workload], quick: bool, distances: &[DistanceMeasure]) {
     println!("# Figure 6: effect of the number of constraints");
     let counts: Vec<usize> = if quick {
         vec![1, 3]
@@ -354,7 +331,7 @@ fn fig6(workloads: &[Workload], quick: bool, distances: &[DistanceMeasure], thre
                 ));
             }
         }
-        run_session_batch(w, &session, grid, threads);
+        run_session_batch(w, &session, grid);
     }
 }
 
@@ -660,17 +637,15 @@ mod tests {
         assert_eq!(options.figures, FIGURES);
         assert!(!options.quick);
         assert_eq!(options.distances, None);
-        assert_eq!(options.threads, 1);
         assert_eq!(parse(&["all", "--quick"]).unwrap().figures, FIGURES);
     }
 
     #[test]
     fn figures_and_flags_parse_in_both_value_forms() {
-        let options = parse(&["fig5", "erica", "ablation", "--quick", "--threads", "4"]).unwrap();
+        let options = parse(&["fig5", "erica", "ablation", "--quick"]).unwrap();
         assert_eq!(options.figures, ["fig5", "erica", "ablation"]);
         assert!(options.quick);
-        assert_eq!(options.threads, 4);
-        let options = parse(&["--distance=QD,ken", "fig3", "--threads=0"]).unwrap();
+        let options = parse(&["--distance=QD,ken", "fig3"]).unwrap();
         assert_eq!(options.figures, ["fig3"]);
         assert_eq!(
             options.distances,
@@ -679,7 +654,8 @@ mod tests {
                 DistanceMeasure::KendallTopK
             ])
         );
-        assert_eq!(options.threads, 1, "a zero worker count runs sequentially");
+        let options = parse(&["--distance", "jac", "fig4"]).unwrap();
+        assert_eq!(options.distances, Some(vec![DistanceMeasure::JaccardTopK]));
         assert!(parse(&["all"]).unwrap().figures.contains(&"ablation"));
     }
 
@@ -690,8 +666,8 @@ mod tests {
         let err = parse(&["fig3", "--quik"]).unwrap_err();
         assert!(err.contains("--quik"), "{err}");
         assert!(parse(&["fig3", "--quick=yes"]).is_err());
-        assert!(parse(&["fig3", "--threads"]).is_err());
-        assert!(parse(&["fig3", "--threads", "many"]).is_err());
+        assert!(parse(&["fig3", "--distance"]).is_err());
+        assert!(parse(&["fig3", "--threads", "4"]).is_err());
         assert!(parse(&["fig3", "--distance", "QD,cosine"]).is_err());
     }
 }

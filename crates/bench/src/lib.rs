@@ -136,7 +136,7 @@ impl ExperimentRow {
             algorithm,
             distance: distance.to_string(),
             parameter: parameter.into(),
-            setup_seconds: result.stats.setup_time.as_secs_f64(),
+            setup_seconds: result.stats.setup_time().as_secs_f64(),
             total_seconds: result.stats.total_time.as_secs_f64(),
             refined,
             distance_value: dist,
@@ -207,24 +207,21 @@ pub fn run_naive(
     run_solver(workload, &NaiveSolver::new(mode), &request, parameter)
 }
 
-/// Sweep ε through one session (Figure 5's access pattern): annotation is
-/// paid once by the session, and each row reports only its per-request
-/// times. The sweep runs on `threads` of the session's worker threads
-/// ([`RefinementSession::sweep_epsilon`]) — the same results in the same
-/// order for every thread count. Returns the shared annotation seconds
-/// alongside the rows.
+/// Sweep ε through one session (Figure 5's access pattern, through
+/// [`RefinementSession::sweep_epsilon`]): annotation is paid once by the
+/// session, and each row reports only its per-request times. Returns the
+/// shared annotation seconds alongside the rows.
 pub fn run_epsilon_sweep(
     workload: &Workload,
     constraints: &ConstraintSet,
     epsilons: &[f64],
     distance: DistanceMeasure,
     config: OptimizationConfig,
-    threads: usize,
 ) -> (f64, Vec<ExperimentRow>) {
     let session = session_for(workload);
     let base = benchmark_request(constraints, 0.0, distance, config);
     let results = session
-        .sweep_epsilon(&base, epsilons, threads)
+        .sweep_epsilon(&base, epsilons)
         .expect("epsilon sweep does not error");
     let rows = epsilons
         .iter()
@@ -333,7 +330,6 @@ mod tests {
             &[0.5, 1.0],
             DistanceMeasure::Predicate,
             OptimizationConfig::all(),
-            1,
         );
         assert!(annotation_seconds >= 0.0);
         assert_eq!(rows.len(), 2);

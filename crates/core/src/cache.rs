@@ -37,7 +37,7 @@
 
 use crate::session::{RefinementRequest, RefinementResult};
 use crate::sync::lock_or_recover;
-use qr_milp::Basis;
+use qr_milp::{Basis, WarmStart};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
@@ -104,26 +104,11 @@ impl CacheKey {
     }
 }
 
-/// A warm-start hint recovered from the cache: the basis and/or incumbent of
-/// the nearest solved ε in the same model family and snapshot version.
-#[derive(Debug, Clone)]
-pub struct CachedWarmStart {
-    /// Optimal basis of the donor solve (seeds the root node).
-    pub basis: Option<Arc<Basis>>,
-    /// Incumbent assignment of the donor solve (revalidated by the solver
-    /// against the *new* model before it can bound anything).
-    pub incumbent: Option<Vec<f64>>,
-    /// ε of the donor entry (for diagnostics; `|ε − ε'|` was minimal among
-    /// cached entries of the family).
-    pub donor_epsilon: f64,
-}
-
 /// One cached solve.
 #[derive(Debug)]
 struct Slot {
     key: CacheKey,
-    basis: Option<Arc<Basis>>,
-    incumbent: Option<Vec<f64>>,
+    warm: WarmStart,
     memo: Option<RefinementResult>,
     /// Logical timestamp of the last hit/insert (LRU ordering).
     last_used: u64,
@@ -204,19 +189,16 @@ impl SolutionCache {
         store.slots[idx].memo.clone()
     }
 
-    /// The warm-start hint of the nearest solved ε in `key`'s family and
-    /// version (including an exact-ε entry that carries a basis but no
-    /// memo). `None` when nothing in the family has a basis or incumbent.
+    /// The warm start (basis and/or incumbent) of the nearest solved ε in
+    /// `key`'s family and version (including an exact-ε entry that carries a
+    /// basis but no memo). `None` when nothing in the family has either.
     #[must_use]
-    pub fn lookup_warm(&self, key: &CacheKey) -> Option<CachedWarmStart> {
+    pub fn lookup_warm(&self, key: &CacheKey) -> Option<WarmStart> {
         let mut store = lock_or_recover(&self.store);
         store.prune_older_than(key.version);
         let mut best: Option<(usize, f64)> = None;
         for (i, slot) in store.slots.iter().enumerate() {
-            if !key.same_family(&slot.key) {
-                continue;
-            }
-            if slot.basis.is_none() && slot.incumbent.is_none() {
+            if !key.same_family(&slot.key) || slot.warm.is_empty() {
                 continue;
             }
             let gap = (slot.key.epsilon - key.epsilon).abs();
@@ -226,12 +208,7 @@ impl SolutionCache {
         }
         let (idx, _) = best?;
         store.touch(idx);
-        let slot = &store.slots[idx];
-        Some(CachedWarmStart {
-            basis: slot.basis.clone(),
-            incumbent: slot.incumbent.clone(),
-            donor_epsilon: slot.key.epsilon,
-        })
+        Some(store.slots[idx].warm.clone())
     }
 
     /// Record the artifacts of a finished solve. An existing slot for the
@@ -253,10 +230,10 @@ impl SolutionCache {
         if let Some(idx) = store.slots.iter().position(|s| s.key.same_model(&key)) {
             let slot = &mut store.slots[idx];
             if basis.is_some() {
-                slot.basis = basis;
+                slot.warm.basis = basis;
             }
             if incumbent.is_some() {
-                slot.incumbent = incumbent;
+                slot.warm.incumbent = incumbent;
             }
             if memo.is_some() {
                 slot.memo = memo;
@@ -280,8 +257,7 @@ impl SolutionCache {
         }
         store.slots.push(Slot {
             key,
-            basis,
-            incumbent,
+            warm: WarmStart { basis, incumbent },
             memo,
             last_used: 0,
         });
@@ -331,8 +307,9 @@ mod tests {
         }
         // A different family must never donate.
         cache.insert(key(8, 3, 0.3), None, Some(vec![-1.0]), None);
+        // Each entry's incumbent is its own ε, so the payload names the
+        // donor.
         let hit = cache.lookup_warm(&key(7, 3, 0.35)).expect("a donor");
-        assert_eq!(hit.donor_epsilon, 0.4);
         assert_eq!(hit.incumbent, Some(vec![0.4]));
         assert!(cache.lookup_warm(&key(9, 3, 0.35)).is_none());
     }
@@ -361,14 +338,14 @@ mod tests {
         // Both remaining entries are current; touching ε=0.2 makes ε=0.3
         // the LRU victim of the next insert.
         let hit = cache.lookup_warm(&key(1, 2, 0.2)).expect("donor");
-        assert_eq!(hit.donor_epsilon, 0.2);
+        assert_eq!(hit.incumbent, Some(vec![0.2]));
         cache.insert(key(1, 2, 0.4), None, Some(vec![0.4]), None);
         let survivors: Vec<f64> = [0.2, 0.3, 0.4]
             .into_iter()
             .filter(|&e| {
                 cache
                     .lookup_warm(&key(1, 2, e))
-                    .is_some_and(|h| h.donor_epsilon == e)
+                    .is_some_and(|h| h.incumbent == Some(vec![e]))
             })
             .collect();
         assert_eq!(survivors, vec![0.2, 0.4]);

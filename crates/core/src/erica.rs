@@ -66,10 +66,10 @@ impl RefinementSolver for EricaSolver {
 
         // No refinement can produce more output tuples than ~Q(D) contains.
         if output_size > annotated.len() {
+            let elapsed = start.elapsed();
             let stats = RefinementStats {
-                model_build_time: start.elapsed(),
-                setup_time: start.elapsed(),
-                total_time: start.elapsed(),
+                model_build_time: elapsed,
+                total_time: elapsed,
                 scope_size: annotated.len(),
                 ..RefinementStats::default()
             };

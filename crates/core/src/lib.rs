@@ -23,14 +23,14 @@
 //!   and the MILP engine are backends of one [`RefinementSolver`] trait,
 //!   answer through [`RefinementSession::solve_with`] and return the same
 //!   [`RefinementResult`],
-//! * the whole solve path is a **concurrent refinement service**:
-//!   [`RefinementSession`] is `Send + Sync` (share it via `Arc` or solve
-//!   batches on the built-in worker pool,
-//!   [`RefinementSession::solve_batch`]), every backend honors one
-//!   deadline and cooperative cancellation through a [`SolveControl`], and
-//!   interrupted solves return [`RefinementOutcome::Interrupted`] with their
-//!   best incumbent and full statistics. A [`SolveObserver`] streams
-//!   incumbent / node / bound events from a running MILP solve.
+//! * the whole solve path is **thread-safe and interruptible**:
+//!   [`RefinementSession`] is `Send + Sync`, so a caller shares it via `Arc`
+//!   across its own threads and gets the same answers on any number of
+//!   them; every backend honors one deadline and cooperative cancellation
+//!   through a [`SolveControl`], and interrupted solves return
+//!   [`RefinementOutcome::Interrupted`] with their best incumbent and full
+//!   statistics. A [`SolveObserver`] streams incumbent / node / bound events
+//!   from a running MILP solve.
 //!
 //! * sessions are **live**: [`RefinementSession::apply`] mutates the
 //!   database at the tuple level ([`session::Mutation`]), repairs the
@@ -80,7 +80,7 @@
 //!
 //! let session = RefinementSession::new(paper_database(), scholarship_query()).unwrap();
 //! let base = RefinementRequest::new().with_constraints(scholarship_constraints());
-//! for result in session.sweep_epsilon(&base, &[0.0, 0.25, 0.5], 1).unwrap() {
+//! for result in session.sweep_epsilon(&base, &[0.0, 0.25, 0.5]).unwrap() {
 //!     // every per-request stat shows zero annotation time ...
 //!     assert!(result.stats.annotation_time.is_zero());
 //! }
@@ -115,7 +115,7 @@ pub mod session;
 pub mod solver;
 pub mod sync;
 
-pub use cache::{CacheKey, CachedWarmStart, SolutionCache};
+pub use cache::{CacheKey, SolutionCache};
 pub use constraint::{BoundType, CardinalityConstraint, ConstraintSet, Group};
 pub use distance::{
     jaccard_topk_distance, kendall_topk_distance, predicate_distance, DistanceMeasure,
@@ -128,7 +128,7 @@ pub use qr_milp::control::{CancelToken, SolveControl, SolveObserver, SolveProgre
 pub use session::{
     exact_deviation, exact_distance, AnnotatedSnapshot, Mutation, RefinedQuery, RefinementOutcome,
     RefinementRequest, RefinementResult, RefinementSession, RefinementStats, SessionResume,
-    SessionStats, StatsAggregate,
+    SessionStats,
 };
 pub use solver::{EricaSolver, MilpSolver, NaiveSolver, RefinementSolver};
 pub use sync::{lock_or_recover, read_or_recover, write_or_recover};
@@ -144,7 +144,6 @@ pub mod prelude {
     pub use crate::session::{
         AnnotatedSnapshot, Mutation, RefinedQuery, RefinementOutcome, RefinementRequest,
         RefinementResult, RefinementSession, RefinementStats, SessionResume, SessionStats,
-        StatsAggregate,
     };
     pub use crate::solver::{EricaSolver, MilpSolver, NaiveSolver, RefinementSolver};
     pub use qr_milp::control::{CancelToken, SolveControl, SolveObserver, SolveProgress};

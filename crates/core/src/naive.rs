@@ -262,7 +262,6 @@ impl NaiveSolver {
         let total = start.elapsed();
         let stats = RefinementStats {
             model_build_time: setup_time,
-            setup_time,
             solver_time: total.saturating_sub(setup_time),
             total_time: total,
             scope_size: annotated.len(),

@@ -118,7 +118,10 @@ fn degenerate_lp_terminates_without_stall_bailout() {
 }
 
 /// Build a random small MILP from proptest-drawn integers. Coefficients and
-/// bounds are kept small so optima are well-conditioned.
+/// bounds are kept small so optima are well-conditioned. One row kind in
+/// four is an equality with a positive right-hand side, which excludes the
+/// origin: some models have no feasible assignment at all, and the others
+/// often need branching to meet the equality with integers.
 fn random_milp(spec: &[(u8, u8, u8)], n_vars: usize, rhs_slack: u8) -> Model {
     let mut m = Model::new("random");
     let vars: Vec<_> = (0..n_vars)
@@ -144,10 +147,11 @@ fn random_milp(spec: &[(u8, u8, u8)], n_vars: usize, rhs_slack: u8) -> Model {
             }
         }
         let rhs = (rhs_slack % 7) as f64 + row as f64;
-        match sense % 3 {
+        match sense % 4 {
             0 => m.add_constraint(format!("r{row}"), e, Sense::Le, rhs),
             1 => m.add_constraint(format!("r{row}"), e, Sense::Ge, -rhs),
-            _ => m.add_constraint(format!("r{row}"), e, Sense::Le, rhs + 2.0),
+            2 => m.add_constraint(format!("r{row}"), e, Sense::Le, rhs + 2.0),
+            _ => m.add_constraint(format!("r{row}"), e, Sense::Eq, rhs + 1.0),
         }
     }
     m
@@ -224,4 +228,22 @@ proptest! {
             }
         }
     }
+}
+
+/// The generator reaches both hard arms of the oracle above: over a fixed
+/// set of specs, at least one model has no feasible assignment and at least
+/// one needs more than the root node.
+#[test]
+fn generated_cases_include_infeasible_and_branching_models() {
+    let (mut infeasible, mut branching) = (0, 0);
+    for seed in 0u8..32 {
+        let spec: Vec<(u8, u8, u8)> = (0..1 + seed % 4)
+            .map(|r| (seed.wrapping_mul(53) ^ r, seed % 8, seed * 7 + r))
+            .collect();
+        let model = random_milp(&spec, 2 + usize::from(seed % 5), seed * 3);
+        infeasible += usize::from(enumerated_optimum(&model).is_none());
+        branching += usize::from(Solver::default().solve(&model).unwrap().stats.nodes > 1);
+    }
+    assert!(infeasible > 0, "no generated case is infeasible");
+    assert!(branching > 0, "every generated case closed at the root");
 }

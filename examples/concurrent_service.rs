@@ -1,7 +1,7 @@
 //! The concurrent refinement service in miniature: one `RefinementSession`
-//! shared across worker threads, a parallel ε-sweep on the built-in pool, a
-//! progress observer streaming solver events, and a cooperative cancellation
-//! that returns the best incumbent found so far.
+//! shared across worker threads, a progress observer streaming solver
+//! events, and a cooperative cancellation that returns the best incumbent
+//! found so far.
 //!
 //! ```bash
 //! cargo run --release --example concurrent_service
@@ -45,20 +45,7 @@ fn main() {
     // query, and provenance annotations, built exactly once.
     let session = Arc::new(RefinementSession::new(paper_database(), scholarship_query()).unwrap());
 
-    // --- 1. A parallel ε-sweep on the built-in worker pool. ---
-    let base = RefinementRequest::new()
-        .with_constraints(scholarship_constraints())
-        .with_distance(DistanceMeasure::Predicate);
-    let epsilons = [0.0, 0.25, 0.5, 0.75, 1.0];
-    let results = session.sweep_epsilon(&base, &epsilons, 4).unwrap();
-    println!("parallel eps-sweep over {} workers:", 4);
-    for (eps, result) in epsilons.iter().zip(&results) {
-        let refined = result.outcome.refined().expect("refinement exists");
-        println!("  eps={eps:<4} -> distance {:.3}", refined.distance);
-    }
-    assert_eq!(session.setup_stats().annotation_builds, 1);
-
-    // --- 2. Manually spawned workers sharing the session via Arc. ---
+    // --- 1. Manually spawned workers sharing the session via Arc. ---
     let handles: Vec<_> = DistanceMeasure::all()
         .into_iter()
         .map(|distance| {
@@ -76,8 +63,9 @@ fn main() {
         let refined = result.outcome.refined().expect("refinement exists");
         println!("  {distance} -> distance {:.3}", refined.distance);
     }
+    assert_eq!(session.setup_stats().annotation_builds, 1);
 
-    // --- 3. Observation + cancellation. ---
+    // --- 2. Observation + cancellation. ---
     // The observer cancels through its token the moment an incumbent exists,
     // so the solve comes back Interrupted mid-search, still carrying that
     // incumbent and a complete stats snapshot. The unified deadline is a

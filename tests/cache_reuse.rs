@@ -78,10 +78,10 @@ fn cached_epsilon_sweep_does_measurably_less_cold_work() {
     let base = base_request();
 
     let cold = cold_session
-        .sweep_epsilon(&base, &epsilons, 1)
+        .sweep_epsilon(&base, &epsilons)
         .expect("cache-off sweep");
     let warm = warm_session
-        .sweep_epsilon(&base, &epsilons, 1)
+        .sweep_epsilon(&base, &epsilons)
         .expect("cache-on sweep");
 
     // Identical answers, point for point.
@@ -181,7 +181,7 @@ proptest! {
         let grid: Vec<f64> = epsilons.iter().map(|e| (e * 4.0).round() / 4.0).collect();
         // Warm the cache (memos + bases for every point) at version 1.
         cached
-            .sweep_epsilon(&base_request(), &grid, 1)
+            .sweep_epsilon(&base_request(), &grid)
             .expect("warm-up sweep");
 
         let mutation = Mutation::delete("Activities", vec![delete_id]);
@@ -215,7 +215,7 @@ proptest! {
 fn version_mismatch_evicts_stale_entries() {
     let cached = session().with_solution_cache(8);
     cached
-        .sweep_epsilon(&base_request(), &[0.0, 0.25, 0.5], 1)
+        .sweep_epsilon(&base_request(), &[0.0, 0.25, 0.5])
         .expect("warm-up sweep");
     let occupied = cached.solution_cache().expect("cache enabled").len();
     assert!(occupied >= 1, "the sweep must have populated the cache");

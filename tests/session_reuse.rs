@@ -69,9 +69,7 @@ fn session_matches_one_shot_engine() {
 fn epsilon_sweep_annotates_exactly_once() {
     let session = paper_session();
     let epsilons = [0.0, 0.25, 0.5, 0.75, 1.0];
-    let results = session
-        .sweep_epsilon(&base_request(), &epsilons, 1)
-        .unwrap();
+    let results = session.sweep_epsilon(&base_request(), &epsilons).unwrap();
 
     assert_eq!(results.len(), epsilons.len());
     assert_eq!(
@@ -87,7 +85,8 @@ fn epsilon_sweep_annotates_exactly_once() {
             "eps={eps}: session solves must not re-annotate"
         );
         assert_eq!(
-            result.stats.setup_time, result.stats.model_build_time,
+            result.stats.setup_time(),
+            result.stats.model_build_time,
             "eps={eps}: per-request setup is the model build alone"
         );
         assert!(result.outcome.is_refined(), "eps={eps}");
@@ -102,7 +101,7 @@ fn epsilon_sweep_annotates_exactly_once() {
         .charge_annotation(single_use.setup_stats().annotation_time);
     assert!(one_shot.stats.annotation_time > Duration::ZERO);
     assert_eq!(
-        one_shot.stats.setup_time,
+        one_shot.stats.setup_time(),
         one_shot.stats.annotation_time + one_shot.stats.model_build_time
     );
 }

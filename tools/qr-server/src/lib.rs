@@ -22,8 +22,9 @@
 //! * a closed [error taxonomy](protocol::ErrorKind) — `bad_request`,
 //!   `shed`, `interrupted`, `internal` — so nothing crosses the socket as a
 //!   raw panic,
-//! * graceful drain on shutdown, and a `metrics` op dumping aggregated
-//!   [`qr_core::StatsAggregate`] numbers plus server counters,
+//! * graceful drain on shutdown, and a `metrics` op dumping server
+//!   counters plus per-solve [`qr_core::RefinementStats`] folded over every
+//!   solve (summed, or the maximum for model sizes),
 //! * **resumable solves**: an interrupted solve parks its checkpoint in a
 //!   bounded, TTL'd [resume table](resume::ResumeTable) and hands the
 //!   client a one-shot `resume_token`; a follow-up `{"op":"resume"}` — on

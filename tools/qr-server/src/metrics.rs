@@ -1,21 +1,98 @@
 //! Server-side observability: lock-free request counters, per-stage latency
-//! sums, and the aggregated solver statistics behind the `metrics` op.
+//! sums, and the folded per-solve statistics behind the `metrics` op.
 //!
 //! Counters are plain relaxed atomics — they are monotone tallies with no
 //! cross-counter invariant, so a metrics scrape may observe a request that
 //! has been accepted but not yet finished; that skew is inherent to live
-//! counters and harmless. The [`StatsAggregate`] (which *does* update many
-//! fields per solve) sits behind a poison-recovering mutex instead.
+//! counters and harmless. The `solver` block's totals (which *do* update
+//! many rows per solve) sit behind a poison-recovering mutex instead.
 
 use crate::json::Json;
 use crate::pool::PoolCounters;
 use crate::resume::ResumeCounters;
-use qr_core::{lock_or_recover, RefinementStats, StatsAggregate};
+use qr_core::{lock_or_recover, RefinementStats};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// All server counters and the solver-stats aggregate. One per server,
+/// How a `solver`-block row folds one solve's value into its total.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fold {
+    /// The sum over solves.
+    Sum,
+    /// The largest value seen.
+    Max,
+}
+
+/// Number of rows, and so of keys, in the `solver` block.
+const SOLVER_ROWS: usize = 25;
+
+/// The `solver` block's one table, in render order: `solves`, then a row per
+/// reported [`RefinementStats`] field. A row is its key, its fold, and this
+/// solve's value (times in milliseconds). The stats are destructured
+/// exhaustively, so a new field is a compile error here until it gets a row
+/// or a stated reason to be skipped.
+fn solver_rows(stats: &RefinementStats) -> [(&'static str, Fold, f64); SOLVER_ROWS] {
+    use Fold::{Max, Sum};
+    let RefinementStats {
+        annotation_time,
+        model_build_time,
+        solver_time,
+        total_time,
+        num_variables,
+        num_constraints,
+        scope_size,
+        nodes,
+        lp_solves,
+        simplex_iterations,
+        warm_lp_solves,
+        cold_lp_solves,
+        refactorizations,
+        eta_updates,
+        lu_nnz,
+        matrix_nnz,
+        candidates_evaluated,
+        interrupted,
+        resumed_solves,
+        nodes_restored,
+        resume_captures,
+        cache_hits,
+        cache_misses,
+        cache_warm_starts,
+    } = *stats;
+    let ms = |time: Duration| time.as_secs_f64() * 1e3;
+    let n = |count: usize| count as f64;
+    [
+        ("solves", Sum, 1.0),
+        // Counts the solves that ended interrupted.
+        ("interrupted", Sum, n(usize::from(interrupted))),
+        ("annotation_ms", Sum, ms(annotation_time)),
+        ("model_build_ms", Sum, ms(model_build_time)),
+        ("solver_ms", Sum, ms(solver_time)),
+        ("total_ms", Sum, ms(total_time)),
+        ("nodes", Sum, n(nodes)),
+        ("lp_solves", Sum, n(lp_solves)),
+        ("simplex_iterations", Sum, n(simplex_iterations)),
+        ("warm_lp_solves", Sum, n(warm_lp_solves)),
+        ("cold_lp_solves", Sum, n(cold_lp_solves)),
+        ("refactorizations", Sum, n(refactorizations)),
+        ("eta_updates", Sum, n(eta_updates)),
+        ("resumed_solves", Sum, n(resumed_solves)),
+        ("nodes_restored", Sum, n(nodes_restored)),
+        ("resume_captures", Sum, n(resume_captures)),
+        ("cache_hits", Sum, n(cache_hits)),
+        ("cache_misses", Sum, n(cache_misses)),
+        ("cache_warm_starts", Sum, n(cache_warm_starts)),
+        ("candidates_evaluated", Sum, n(candidates_evaluated)),
+        ("max_variables", Max, n(num_variables)),
+        ("max_constraints", Max, n(num_constraints)),
+        ("max_scope", Max, n(scope_size)),
+        ("max_lu_nnz", Max, n(lu_nnz)),
+        ("max_matrix_nnz", Max, n(matrix_nnz)),
+    ]
+}
+
+/// All server counters and the folded solver statistics. One per server,
 /// shared by every connection and worker via `Arc`.
 #[derive(Default)]
 pub struct Metrics {
@@ -53,9 +130,9 @@ pub struct Metrics {
     /// Summed time spent building/fetching pool sessions, in microseconds.
     pub session_us: AtomicU64,
 
-    /// Aggregated per-solve statistics (exhaustive-destructure discipline
-    /// lives in `qr_core`).
-    pub stats: Mutex<StatsAggregate>,
+    /// The `solver` block's totals over every finished solve, one per row
+    /// of `solver_rows`.
+    solver: Mutex<[f64; SOLVER_ROWS]>,
 }
 
 impl Metrics {
@@ -66,7 +143,22 @@ impl Metrics {
 
     /// Record one finished solve's statistics.
     pub fn record_stats(&self, stats: &RefinementStats) {
-        lock_or_recover(&self.stats).record(stats);
+        let mut totals = lock_or_recover(&self.solver);
+        for (total, (_, fold, value)) in totals.iter_mut().zip(solver_rows(stats)) {
+            *total = match fold {
+                Fold::Sum => *total + value,
+                Fold::Max => total.max(value),
+            };
+        }
+    }
+
+    /// The `solver` block: each row's key with its total, in table order.
+    fn solver_block(&self) -> Json {
+        let totals = *lock_or_recover(&self.solver);
+        // The keys do not depend on the stats, so an all-zero solve's rows
+        // supply them.
+        let keys = solver_rows(&RefinementStats::default()).map(|(key, _, _)| key);
+        Json::obj(keys.into_iter().zip(totals.map(Json::Num)).collect())
     }
 
     /// Add a duration to a microsecond latency counter.
@@ -110,45 +202,13 @@ impl Metrics {
             ("tokens_expired", Json::count(resume.expired)),
             ("tokens_evicted", Json::count(resume.evicted)),
         ]);
-        let agg = lock_or_recover(&self.stats).clone();
-        let solver = Json::obj(vec![
-            ("solves", Json::count(agg.solves)),
-            ("interrupted", Json::count(agg.interrupted)),
-            ("annotation_ms", Json::millis(agg.annotation_time)),
-            ("model_build_ms", Json::millis(agg.model_build_time)),
-            ("solver_ms", Json::millis(agg.solver_time)),
-            ("total_ms", Json::millis(agg.total_time)),
-            ("nodes", Json::count(agg.nodes)),
-            ("lp_solves", Json::count(agg.lp_solves)),
-            ("simplex_iterations", Json::count(agg.simplex_iterations)),
-            ("warm_lp_solves", Json::count(agg.warm_lp_solves)),
-            ("cold_lp_solves", Json::count(agg.cold_lp_solves)),
-            ("refactorizations", Json::count(agg.refactorizations)),
-            ("eta_updates", Json::count(agg.eta_updates)),
-            ("resumed_solves", Json::count(agg.resumed_solves)),
-            ("nodes_restored", Json::count(agg.nodes_restored)),
-            ("resume_captures", Json::count(agg.resume_captures)),
-            ("cache_hits", Json::count(agg.cache_hits)),
-            ("cache_misses", Json::count(agg.cache_misses)),
-            ("cache_warm_starts", Json::count(agg.cache_warm_starts)),
-            (
-                "candidates_evaluated",
-                Json::count(agg.candidates_evaluated),
-            ),
-            ("max_variables", Json::count(agg.max_variables)),
-            ("max_constraints", Json::count(agg.max_constraints)),
-            ("max_scope", Json::count(agg.max_scope)),
-            ("max_lu_nnz", Json::count(agg.max_lu_nnz)),
-            ("max_matrix_nnz", Json::count(agg.max_matrix_nnz)),
-        ]);
-
         let mut pairs = vec![
             ("ok".to_string(), Json::Bool(true)),
             ("server".to_string(), server),
             ("latency".to_string(), latency),
             ("pool".to_string(), pool),
             ("resume".to_string(), resume),
-            ("solver".to_string(), solver),
+            ("solver".to_string(), self.solver_block()),
         ];
         if let Some(id) = id {
             pairs.insert(0, ("id".to_string(), id.clone()));
@@ -292,6 +352,38 @@ mod tests {
             solver.get("cache_warm_starts").and_then(Json::as_u64),
             Some(0)
         );
+    }
+
+    #[test]
+    fn solver_rows_start_at_zero_then_sum_or_keep_the_maximum() {
+        let m = Metrics::new();
+        let fresh = m.solver_block();
+        assert_eq!(keys(&fresh).len(), SOLVER_ROWS);
+        for key in keys(&fresh) {
+            assert_eq!(fresh.get(key).and_then(Json::as_f64), Some(0.0), "{key}");
+        }
+
+        let solve = |nodes, build_ms, num_variables, lu_nnz, interrupted| RefinementStats {
+            nodes,
+            model_build_time: Duration::from_millis(build_ms),
+            num_variables,
+            lu_nnz,
+            interrupted,
+            ..Default::default()
+        };
+        m.record_stats(&solve(3, 2, 10, 50, true));
+        m.record_stats(&solve(4, 3, 7, 80, false));
+        let solver = m.solver_block();
+        let value = |key| solver.get(key).and_then(Json::as_f64);
+        assert_eq!(value("solves"), Some(2.0));
+        // Sum rows add the two solves.
+        assert_eq!(value("nodes"), Some(7.0));
+        assert_eq!(value("model_build_ms"), Some(5.0));
+        // `max_*` rows keep the larger value, whichever solve brought it.
+        assert_eq!(value("max_variables"), Some(10.0));
+        assert_eq!(value("max_lu_nnz"), Some(80.0));
+        // `interrupted` counts the solves that were.
+        assert_eq!(value("interrupted"), Some(1.0));
     }
 
     #[test]
